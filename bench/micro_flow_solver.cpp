@@ -1,18 +1,20 @@
 // Micro-benchmark: cost of the solver *workspace*, isolated from the
-// algorithm. Three variants of the same solve separate what the reusable
+// algorithm, on the composition graphs the composer builds (stages ×
+// providers). Three variants of the same solve separate what the reusable
 // SspSolver buys:
 //   cold    — fresh solver every call: pays the CSR adjacency build, all
 //             vector allocations, and a from-scratch solve;
 //   reused  — one persistent solver, same topology: adjacency snapshot and
 //             buffers are cached, only the solve itself runs;
-//   repair  — persistent solver AND persistent graph: tighten a handful of
-//             capacities in place, then warm-start re-solve from the
-//             previous potentials — the composer's repair-loop pattern.
-// Plus the end-to-end repair pattern on a real CompositionGraph.
+//   repair  — persistent solver AND persistent graph: tighten a batch of
+//             candidate capacities in place, then warm-start re-solve from
+//             the previous potentials — the composer's repair-loop pattern.
+// Plus the end-to-end repair pattern with share extraction.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "composition_caps.hpp"
 #include "core/composition_graph.hpp"
 #include "flow/ssp.hpp"
 #include "util/rng.hpp"
@@ -21,85 +23,59 @@ namespace {
 
 using namespace rasc;
 
-flow::Graph make_layered(int layers, int width, util::Xoshiro256& rng,
-                         flow::NodeId* source, flow::NodeId* sink) {
-  flow::Graph g;
-  *source = g.add_node();
-  *sink = g.add_node();
-  auto nodes = std::vector<std::vector<flow::NodeId>>(std::size_t(layers));
-  for (auto& layer : nodes) {
-    for (int j = 0; j < width; ++j) layer.push_back(g.add_node());
-  }
-  for (int j = 0; j < width; ++j) {
-    g.add_arc(*source, nodes[0][std::size_t(j)], rng.uniform_int(5, 50),
-              rng.uniform_int(0, 100));
-  }
-  for (int l = 0; l + 1 < layers; ++l) {
-    for (int a = 0; a < width; ++a) {
-      for (int b = 0; b < width; ++b) {
-        g.add_arc(nodes[std::size_t(l)][std::size_t(a)],
-                  nodes[std::size_t(l) + 1][std::size_t(b)],
-                  rng.uniform_int(5, 50), rng.uniform_int(0, 100));
-      }
-    }
-  }
-  for (int j = 0; j < width; ++j) {
-    g.add_arc(nodes[std::size_t(layers) - 1][std::size_t(j)], *sink,
-              rng.uniform_int(5, 50), rng.uniform_int(0, 100));
-  }
-  return g;
-}
-
-void BM_SolverCold(benchmark::State& state) {
-  const int layers = int(state.range(0));
-  const int width = int(state.range(1));
+void BM_ComposeSolverCold(benchmark::State& state) {
   util::Xoshiro256 rng(7);
-  flow::NodeId s, t;
-  auto g = make_layered(layers, width, rng, &s, &t);
+  auto cg = bench::random_composition_graph(int(state.range(0)),
+                                            int(state.range(1)), rng);
   const flow::SolveOptions opts{.assume_nonnegative_costs = true};
   for (auto _ : state) {
-    g.clear_flow();
+    cg.reset_flow();
     flow::SspSolver solver;  // fresh workspace: CSR build + allocations
-    const auto r = solver.solve(g, s, t, width * 20, opts);
+    const auto r = solver.solve(cg.graph(), cg.source(), cg.sink(),
+                                cg.demand(), opts);
     benchmark::DoNotOptimize(r.cost);
   }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) * g.num_arcs());
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          cg.graph().num_arcs());
 }
-BENCHMARK(BM_SolverCold)->Args({5, 16})->Args({5, 64});
+BENCHMARK(BM_ComposeSolverCold)->Args({5, 16})->Args({5, 64});
 
-void BM_SolverReused(benchmark::State& state) {
-  const int layers = int(state.range(0));
-  const int width = int(state.range(1));
+void BM_ComposeSolverReused(benchmark::State& state) {
   util::Xoshiro256 rng(7);
-  flow::NodeId s, t;
-  auto g = make_layered(layers, width, rng, &s, &t);
+  auto cg = bench::random_composition_graph(int(state.range(0)),
+                                            int(state.range(1)), rng);
   const flow::SolveOptions opts{.assume_nonnegative_costs = true};
   flow::SspSolver solver;
   for (auto _ : state) {
-    g.clear_flow();
-    const auto r = solver.solve(g, s, t, width * 20, opts);
+    cg.reset_flow();
+    const auto r = solver.solve(cg.graph(), cg.source(), cg.sink(),
+                                cg.demand(), opts);
     benchmark::DoNotOptimize(r.cost);
   }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) * g.num_arcs());
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          cg.graph().num_arcs());
 }
-BENCHMARK(BM_SolverReused)->Args({5, 16})->Args({5, 64});
+BENCHMARK(BM_ComposeSolverReused)->Args({5, 16})->Args({5, 64});
 
-void BM_SolverWarmRepair(benchmark::State& state) {
-  const int layers = int(state.range(0));
-  const int width = int(state.range(1));
+void BM_ComposeSolverWarmRepair(benchmark::State& state) {
+  const int stages = int(state.range(0));
+  const int providers = int(state.range(1));
   util::Xoshiro256 rng(7);
-  flow::NodeId s, t;
-  auto g = make_layered(layers, width, rng, &s, &t);
+  auto cg = bench::random_composition_graph(stages, providers, rng);
 
-  // Pre-generate capacity edit batches: each tightens ~10% of the arcs,
-  // cycled so the graph never drifts toward zero capacity.
-  const std::size_t arcs = g.num_arcs();
-  std::vector<std::vector<std::pair<flow::ArcId, flow::FlowUnit>>> edits(8);
+  // Pre-generate capacity edit batches: each re-draws ~10% of the
+  // candidates, cycled so the graph never drifts toward zero capacity.
+  struct Edit {
+    int stage, index;
+    double ups;
+  };
+  std::vector<std::vector<Edit>> edits(8);
   for (auto& batch : edits) {
-    for (std::size_t a = 0; a < arcs; ++a) {
-      if (rng.bernoulli(0.1)) {
-        batch.emplace_back(flow::ArcId(a * 2),
-                           flow::FlowUnit(rng.uniform_int(5, 50)));
+    for (int s = 0; s < stages; ++s) {
+      for (int p = 0; p < providers; ++p) {
+        if (rng.bernoulli(0.1)) {
+          batch.push_back(Edit{s, p, rng.uniform_double(2.0, 30.0)});
+        }
       }
     }
   }
@@ -107,18 +83,23 @@ void BM_SolverWarmRepair(benchmark::State& state) {
   const flow::SolveOptions opts{.assume_nonnegative_costs = true,
                                 .warm_start = true};
   flow::SspSolver solver;
-  solver.solve(g, s, t, width * 20, opts);  // prime potentials + snapshot
+  // Prime potentials + snapshot.
+  solver.solve(cg.graph(), cg.source(), cg.sink(), cg.demand(), opts);
   std::size_t which = 0;
   for (auto _ : state) {
-    g.clear_flow();
-    for (const auto& [arc, cap] : edits[which]) g.set_capacity(arc, cap);
+    cg.reset_flow();
+    for (const Edit& e : edits[which]) {
+      cg.set_candidate_cap(e.stage, e.index, e.ups);
+    }
     which = (which + 1) % edits.size();
-    const auto r = solver.solve(g, s, t, width * 20, opts);
+    const auto r = solver.solve(cg.graph(), cg.source(), cg.sink(),
+                                cg.demand(), opts);
     benchmark::DoNotOptimize(r.cost);
   }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) * g.num_arcs());
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          cg.graph().num_arcs());
 }
-BENCHMARK(BM_SolverWarmRepair)->Args({5, 16})->Args({5, 64});
+BENCHMARK(BM_ComposeSolverWarmRepair)->Args({5, 16})->Args({5, 64});
 
 void BM_CompositionRepair(benchmark::State& state) {
   // The composer's actual hot path: one persistent CompositionGraph,
@@ -126,16 +107,7 @@ void BM_CompositionRepair(benchmark::State& state) {
   const int stages = int(state.range(0));
   const int providers = int(state.range(1));
   util::Xoshiro256 rng(11);
-  auto caps =
-      std::vector<std::vector<core::CandidateCap>>(std::size_t(stages));
-  for (auto& stage : caps) {
-    for (int p = 0; p < providers; ++p) {
-      stage.push_back(core::CandidateCap{
-          sim::NodeIndex(p), rng.uniform_double(2.0, 30.0),
-          rng.uniform_double(0.0, 0.2), rng.uniform_double(0.0, 1.0)});
-    }
-  }
-  core::CompositionGraph cg(caps, 1000.0, 1000.0, 20.0);
+  auto cg = bench::random_composition_graph(stages, providers, rng);
   const flow::SolveOptions opts{.assume_nonnegative_costs = true,
                                 .warm_start = true};
   flow::SspSolver solver;

@@ -1,8 +1,10 @@
-// Micro-benchmark: min-cost flow solver scaling on composition-shaped
-// layered graphs (stages × candidate width), plus the full
-// CompositionGraph build + solve as invoked per substream.
+// Micro-benchmark: min-cost flow solver scaling on the composition graphs
+// the composer builds (stages × providers), the cycle-cancelling oracle on
+// the same graphs, plus the full CompositionGraph build + solve as invoked
+// per substream.
 #include <benchmark/benchmark.h>
 
+#include "composition_caps.hpp"
 #include "core/composition_graph.hpp"
 #include "flow/cycle_cancel.hpp"
 #include "flow/ssp.hpp"
@@ -12,86 +14,49 @@ namespace {
 
 using namespace rasc;
 
-flow::Graph make_layered(int layers, int width, util::Xoshiro256& rng,
-                         flow::NodeId* source, flow::NodeId* sink) {
-  flow::Graph g;
-  *source = g.add_node();
-  *sink = g.add_node();
-  auto nodes = std::vector<std::vector<flow::NodeId>>(std::size_t(layers));
-  for (auto& layer : nodes) {
-    for (int j = 0; j < width; ++j) layer.push_back(g.add_node());
-  }
-  for (int j = 0; j < width; ++j) {
-    g.add_arc(*source, nodes[0][std::size_t(j)], rng.uniform_int(5, 50),
-              rng.uniform_int(0, 100));
-  }
-  for (int l = 0; l + 1 < layers; ++l) {
-    for (int a = 0; a < width; ++a) {
-      for (int b = 0; b < width; ++b) {
-        g.add_arc(nodes[std::size_t(l)][std::size_t(a)],
-                  nodes[std::size_t(l) + 1][std::size_t(b)],
-                  rng.uniform_int(5, 50), rng.uniform_int(0, 100));
-      }
-    }
-  }
-  for (int j = 0; j < width; ++j) {
-    g.add_arc(nodes[std::size_t(layers) - 1][std::size_t(j)], *sink,
-              rng.uniform_int(5, 50), rng.uniform_int(0, 100));
-  }
-  return g;
+core::CompositionGraph make_graph(const benchmark::State& state) {
+  util::Xoshiro256 rng(7);
+  return bench::random_composition_graph(int(state.range(0)),
+                                         int(state.range(1)), rng);
 }
 
-void BM_SspLayered(benchmark::State& state) {
-  const int layers = int(state.range(0));
-  const int width = int(state.range(1));
-  util::Xoshiro256 rng(7);
-  flow::NodeId s, t;
-  const auto base = make_layered(layers, width, rng, &s, &t);
+void BM_SspComposition(benchmark::State& state) {
+  const auto base = make_graph(state);
   for (auto _ : state) {
-    auto g = base;
-    const auto r = flow::min_cost_flow_ssp(g, s, t, width * 20);
+    auto g = base.graph();
+    const auto r =
+        flow::min_cost_flow_ssp(g, base.source(), base.sink(), base.demand());
     benchmark::DoNotOptimize(r.cost);
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                          base.num_arcs());
+                          base.graph().num_arcs());
 }
-BENCHMARK(BM_SspLayered)
+BENCHMARK(BM_SspComposition)
     ->Args({3, 4})
     ->Args({5, 16})
     ->Args({5, 64})
     ->Args({8, 64});
 
-void BM_CycleCancelLayered(benchmark::State& state) {
-  const int layers = int(state.range(0));
-  const int width = int(state.range(1));
-  util::Xoshiro256 rng(7);
-  flow::NodeId s, t;
-  const auto base = make_layered(layers, width, rng, &s, &t);
+void BM_CycleCancelComposition(benchmark::State& state) {
+  const auto base = make_graph(state);
   for (auto _ : state) {
-    auto g = base;
-    const auto r = flow::min_cost_flow_cycle_cancel(g, s, t, width * 20);
+    auto g = base.graph();
+    const auto r = flow::min_cost_flow_cycle_cancel(g, base.source(),
+                                                    base.sink(), base.demand());
     benchmark::DoNotOptimize(r.cost);
   }
 }
-BENCHMARK(BM_CycleCancelLayered)->Args({3, 4})->Args({5, 16});
+BENCHMARK(BM_CycleCancelComposition)->Args({3, 4})->Args({5, 16});
 
 void BM_CompositionGraphSolve(benchmark::State& state) {
   // The per-substream workload RASC's composer issues: paper scale is 16
   // providers per service, 2-5 stages.
-  const int stages = int(state.range(0));
-  const int providers = int(state.range(1));
   util::Xoshiro256 rng(11);
-  auto caps =
-      std::vector<std::vector<core::CandidateCap>>(std::size_t(stages));
-  for (auto& stage : caps) {
-    for (int p = 0; p < providers; ++p) {
-      stage.push_back(core::CandidateCap{
-          sim::NodeIndex(p), rng.uniform_double(2.0, 30.0),
-          rng.uniform_double(0.0, 0.2), rng.uniform_double(0.0, 1.0)});
-    }
-  }
+  const auto caps =
+      bench::random_candidates(int(state.range(0)), int(state.range(1)), rng);
   for (auto _ : state) {
-    core::CompositionGraph cg(caps, 1000.0, 1000.0, 20.0);
+    core::CompositionGraph cg(caps, bench::kGateUps, bench::kGateUps,
+                              bench::kDemandUps);
     const auto r = flow::min_cost_flow_ssp(cg.graph(), cg.source(),
                                            cg.sink(), cg.demand());
     benchmark::DoNotOptimize(r.flow);

@@ -25,9 +25,7 @@ void submit(exp::World& world, core::Composer& composer,
       .submit(req, composer, 0, stop, std::move(done));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const double rate = flags.get_double("rate", 150);
   flags.finish();
@@ -179,4 +177,10 @@ int main(int argc, char** argv) {
   std::printf("  destination has now seen %lld units across all apps\n",
               (long long)dest_total.delivered);
   return (recovered && avoids_victim) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -11,7 +11,9 @@
 #include "exp/world.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   const auto nodes = std::size_t(flags.get_int("nodes", 16));
@@ -101,4 +103,10 @@ int main(int argc, char** argv) {
       sink.delay_ms.mean(), sink.jitter_ms.mean(),
       (long long)sink.out_of_order);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

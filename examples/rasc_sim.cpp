@@ -82,6 +82,10 @@
 // and --gossip-stale-rounds the view aging window. With the default
 // (empty) --control-plane, coordinators > 1 still selects the sharded
 // plane as before.
+//
+// --help lists every flag with its default. A bad command line (unknown,
+// repeated or malformed flag) prints its error and exits 2; a run that
+// fails exits 1 with its message; an SLO violation exits 1.
 #include <cstdio>
 #include <string>
 
@@ -91,7 +95,9 @@
 #include "util/flags.hpp"
 #include "util/summary_stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
 
@@ -124,8 +130,7 @@ int main(int argc, char** argv) {
   } else if (policy == "edf") {
     cfg.world.runtime_params.policy = runtime::SchedulingPolicy::kEdf;
   } else if (policy != "llf") {
-    std::fprintf(stderr, "unknown --policy %s\n", policy.c_str());
-    return 2;
+    throw util::FlagError("unknown --policy " + policy);
   }
 
   cfg.workload.num_requests = int(flags.get_int("requests", 60));
@@ -316,4 +321,10 @@ int main(int argc, char** argv) {
         delay.mean(), jitter.mean());
   }
   return slo_violated ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

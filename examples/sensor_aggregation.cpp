@@ -14,7 +14,9 @@
 #include "exp/world.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   const int sensors = int(flags.get_int("sensors", 20));
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
       "leaves — the composer sized upstream instances accordingly "
       "(normalized min-cost flow, DESIGN.md).\n");
   return admitted > 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

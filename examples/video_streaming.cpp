@@ -18,7 +18,9 @@
 #include "exp/world.hpp"
 #include "util/flags.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   const int viewers = int(flags.get_int("viewers", 4));
@@ -92,4 +94,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%d/%d viewers served\n", admitted, viewers);
   return admitted > 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -58,18 +58,19 @@ CompositionGraph::CompositionGraph(
     }
   }
 
-  // Wire the layers.
+  // Wire the layers through one hub per stage boundary (see the header):
+  // every out-vertex of stage st-1 feeds the hub, the hub feeds every
+  // in-vertex of stage st. Stage 0's hub is the source gate.
+  flow::NodeId hub = source_gate;
   for (std::size_t st = 0; st < stages.size(); ++st) {
-    for (std::size_t j = 0; j < vertices[st].size(); ++j) {
-      const auto [cin, cout] = vertices[st][j];
-      if (st == 0) {
-        graph_.add_arc(source_gate, cin, flow::kInfiniteCap, 0);
-      } else {
-        for (const auto& [prev_in, prev_out] : vertices[st - 1]) {
-          (void)prev_in;
-          graph_.add_arc(prev_out, cin, flow::kInfiniteCap, 0);
-        }
+    if (st > 0) {
+      hub = graph_.add_node();
+      for (const auto& prev : vertices[st - 1]) {
+        graph_.add_arc(prev.second, hub, flow::kInfiniteCap, 0);
       }
+    }
+    for (const auto& [cin, cout] : vertices[st]) {
+      graph_.add_arc(hub, cin, flow::kInfiniteCap, 0);
       if (st + 1 == stages.size()) {
         graph_.add_arc(cout, dest_gate, flow::kInfiniteCap, 0);
       }

@@ -3,16 +3,26 @@
 // Layered graph, all quantities normalized to destination-delivered units
 // per second (see plan_math.hpp) and scaled to integral milli-ups:
 //
-//   S --cap: source out-bw--> SO --∞--> [stage 0 candidates] --∞--> ...
+//   S --cap: source out-bw--> SO --∞--> [stage 0 candidates] --∞--> H1
+//     H1 --∞--> [stage 1 candidates] --∞--> H2 --∞--> ...
 //     ... --∞--> [stage k-1 candidates] --∞--> TI --cap: dest in-bw--> T
+//
+// where one stage's candidates look like
+//
+//            ┌--∞--> in_0 --cap_0, cost_0--> out_0 --∞--┐
+//   H_i -----┼--∞--> in_1 --cap_1, cost_1--> out_1 --∞--┼----> H_{i+1}
+//            └--∞--> ...                      ...  --∞--┘
 //
 // Each candidate (service instance on a provider node) is split into an
 // in/out vertex pair; the splitting arc carries the node's capacity
 // min(avail_in, avail_out) translated to delivered ups (the paper's
 // r_max(c_i, n)) and costs the node's observed drop ratio scaled by 1e6
 // (the paper's cost_e). Inter-layer arcs are free and uncapacitated: node
-// budgets live on the splitting arcs. The flow solution simultaneously
-// selects components and assigns their rates — the paper's key reduction.
+// budgets live on the splitting arcs. So the layers meet at one hub vertex
+// per stage boundary (SO is stage 0's hub) instead of a complete bipartite
+// mesh: the same flows at the same cost, with 2P arcs per boundary rather
+// than P² for P candidates. The flow solution simultaneously selects
+// components and assigns their rates — the paper's key reduction.
 #pragma once
 
 #include <vector>

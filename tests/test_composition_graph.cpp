@@ -139,6 +139,23 @@ TEST(CompositionGraph, CostScalingIsProportional) {
                                CompositionGraph::kCostScale));
 }
 
+TEST(CompositionGraph, ArcCountIsLinearInCandidates) {
+  // Stages meet at one hub vertex per boundary, so P candidates per stage
+  // cost 2P inter-stage arcs per boundary, not the P² of a complete
+  // bipartite mesh (4,096 per boundary at P = 64).
+  const auto arcs_for = [](int stages, int providers) {
+    std::vector<std::vector<CandidateCap>> caps(
+        std::size_t(stages),
+        std::vector<CandidateCap>(std::size_t(providers),
+                                  CandidateCap{1, 10.0, 0.0}));
+    return CompositionGraph(caps, 100.0, 100.0, 10.0).graph().num_arcs();
+  };
+  // 2 gates + 3P splitting arcs + P from the source gate + 2 × 2P through
+  // the two hubs + P into the destination gate.
+  EXPECT_EQ(arcs_for(3, 64), 2 + 3 * 64 + 64 + 2 * 2 * 64 + 64);
+  EXPECT_EQ(arcs_for(3, 64) - arcs_for(3, 32), arcs_for(3, 32) - 2);
+}
+
 TEST(CompositionGraph, ZeroCapacityCandidateUnusable) {
   std::vector<std::vector<CandidateCap>> stages = {
       {{1, 0.0, 0.0}, {2, 20.0, 0.9}},

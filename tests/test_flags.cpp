@@ -101,5 +101,57 @@ TEST(Flags, EmptyListThrows) {
   EXPECT_THROW(f.get_double_list("rates", {}), std::invalid_argument);
 }
 
+TEST(Flags, HelpListsAskedFlagsWithDefaults) {
+  auto f = make({"--help"});
+  f.get_int("nodes", 32);
+  f.get_double("rate", 1.5);
+  f.get_string("csv", "");
+  f.get_bool("supervise", false);
+  try {
+    f.finish();
+    FAIL() << "--help must end the program through HelpRequested";
+  } catch (const HelpRequested& help) {
+    EXPECT_STREQ(help.what(),
+                 "usage: prog [--flag=value ...]\n"
+                 "  --nodes (default 32)\n"
+                 "  --rate (default 1.5)\n"
+                 "  --csv (default \"\")\n"
+                 "  --supervise (default false)\n");
+  }
+}
+
+int body_help(int argc, char** argv) {
+  Flags f(argc, argv);
+  f.get_int("nodes", 32);
+  f.finish();
+  return 5;
+}
+
+int body_throws(int, char**) { throw std::runtime_error("world failed"); }
+
+int run(int (*body)(int, char**), std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return run_main(int(args.size()), const_cast<char**>(args.data()), body);
+}
+
+TEST(Flags, RunMainMapsOutcomesToExitCodes) {
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(run(body_help, {"--help"}), 0);
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("--nodes"),
+            std::string::npos);
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run(body_help, {"--nodes", "abc"}), 2);
+  EXPECT_EQ(run(body_help, {"--typo=1"}), 2);
+  EXPECT_EQ(run(body_throws, {}), 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("prog: flag --nodes: not an integer: abc"),
+            std::string::npos);
+  EXPECT_NE(err.find("prog: unknown flags: --typo"), std::string::npos);
+  EXPECT_NE(err.find("prog: world failed"), std::string::npos);
+
+  EXPECT_EQ(run(body_help, {"--nodes=4"}), 5);
+}
+
 }  // namespace
 }  // namespace rasc::util

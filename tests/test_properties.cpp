@@ -5,6 +5,7 @@
 
 #include "core/composition_graph.hpp"
 #include "exp/runner.hpp"
+#include "flow/cycle_cancel.hpp"
 #include "flow/ssp.hpp"
 #include "flow/validate.hpp"
 #include "sim/network.hpp"
@@ -111,6 +112,100 @@ TEST_P(CompositionProperties, SharesRespectCapsAndSumToDemand) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompositionProperties,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+// ---------- Composition graph: hub wiring equals the full mesh ----------
+
+// Reference network: the same gates and splitting arcs as
+// CompositionGraph, but every out-vertex of stage st-1 wired straight to
+// every in-vertex of stage st (the complete bipartite layering).
+struct MeshNetwork {
+  flow::Graph graph;
+  flow::NodeId source = 0;
+  flow::NodeId sink = 0;
+};
+
+MeshNetwork build_mesh(const std::vector<std::vector<core::CandidateCap>>& caps,
+                       double src_cap, double dest_cap) {
+  using core::CompositionGraph;
+  MeshNetwork m;
+  auto& g = m.graph;
+  m.source = g.add_node();
+  m.sink = g.add_node();
+  const flow::NodeId source_gate = g.add_node();
+  const flow::NodeId dest_gate = g.add_node();
+  g.add_arc(m.source, source_gate, CompositionGraph::flow_units(src_cap), 0);
+  g.add_arc(dest_gate, m.sink, CompositionGraph::flow_units(dest_cap), 0);
+  std::vector<flow::NodeId> prev_outs = {source_gate};
+  for (const auto& stage : caps) {
+    std::vector<flow::NodeId> outs;
+    for (const auto& cand : stage) {
+      const flow::NodeId cin = g.add_node();
+      const flow::NodeId cout = g.add_node();
+      g.add_arc(cin, cout, CompositionGraph::flow_units(cand.max_delivered_ups),
+                CompositionGraph::unit_cost(cand.drop_ratio, cand.utilization));
+      for (const flow::NodeId prev : prev_outs) {
+        g.add_arc(prev, cin, flow::kInfiniteCap, 0);
+      }
+      outs.push_back(cout);
+    }
+    prev_outs = std::move(outs);
+  }
+  for (const flow::NodeId prev : prev_outs) {
+    g.add_arc(prev, dest_gate, flow::kInfiniteCap, 0);
+  }
+  return m;
+}
+
+class HubMeshEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HubMeshEquivalence, SameFlowAndCostAsMesh) {
+  util::Xoshiro256 rng(GetParam());
+  const int stages = int(rng.uniform_int(1, 5));
+  auto caps =
+      std::vector<std::vector<core::CandidateCap>>(std::size_t(stages));
+  for (auto& stage : caps) {
+    // Stages differ in width; drop ratios come from a few levels so that
+    // equal-cost alternatives (ties) are common.
+    const int providers = int(rng.uniform_int(1, 10));
+    for (int p = 0; p < providers; ++p) {
+      stage.push_back(core::CandidateCap{
+          sim::NodeIndex(p),
+          rng.bernoulli(0.1) ? 0.0 : rng.uniform_double(0.0, 12.0),
+          0.1 * double(rng.uniform_int(0, 3)),
+          rng.bernoulli(0.5) ? 0.0 : rng.uniform_double(0.0, 1.0)});
+    }
+  }
+  const double demand = rng.uniform_double(1.0, 30.0);
+  const double src_cap = rng.uniform_double(0.0, 40.0);
+  const double dest_cap = rng.uniform_double(0.0, 40.0);
+  const flow::SolveOptions opts{.assume_nonnegative_costs = true};
+
+  core::CompositionGraph hub(caps, src_cap, dest_cap, demand);
+  flow::SspSolver hub_solver;
+  const auto hub_result = hub_solver.solve(hub.graph(), hub.source(),
+                                           hub.sink(), hub.demand(), opts);
+
+  auto mesh = build_mesh(caps, src_cap, dest_cap);
+  auto oracle_graph = mesh.graph;
+  flow::SspSolver mesh_solver;
+  const auto mesh_result = mesh_solver.solve(mesh.graph, mesh.source,
+                                             mesh.sink, hub.demand(), opts);
+  const auto oracle = flow::min_cost_flow_cycle_cancel(
+      oracle_graph, mesh.source, mesh.sink, hub.demand());
+
+  EXPECT_EQ(hub_result.flow, mesh_result.flow);
+  EXPECT_EQ(hub_result.cost, mesh_result.cost);
+  EXPECT_EQ(hub_result.feasible, mesh_result.feasible);
+  EXPECT_EQ(mesh_result.flow, oracle.flow);
+  EXPECT_EQ(mesh_result.cost, oracle.cost);
+  EXPECT_EQ(hub.graph().total_cost(), hub_result.cost);
+  EXPECT_EQ(flow::validate_flow(hub.graph(), hub.source(), hub.sink(),
+                                hub_result.flow),
+            std::nullopt);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HubMeshEquivalence,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 // ---------- End-to-end runner invariants across random scenarios ----------
 
