@@ -7,7 +7,9 @@
 
 #include "figures_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   auto sweep = bench::paper_sweep(flags);
@@ -63,4 +65,10 @@ int main(int argc, char** argv) {
       "(commitments visible before traffic materializes) but delivers a "
       "higher fraction of what it admits.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -8,7 +8,9 @@
 
 #include "figures_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   auto sweep = bench::paper_sweep(flags);
@@ -43,4 +45,10 @@ int main(int argc, char** argv) {
       "processors can run and pays with deadline drops; CPU-aware "
       "composition admits less but delivers what it admits.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

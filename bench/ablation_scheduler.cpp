@@ -6,7 +6,9 @@
 #include "figures_common.hpp"
 #include "runtime/scheduler.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   auto sweep = bench::paper_sweep(flags);
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
       "and keeps timely delivery at least as high as EDF; FIFO wastes "
       "capacity on units that will miss anyway under load.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -9,7 +9,9 @@
 
 #include "figures_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   auto sweep = bench::paper_sweep(flags);
@@ -47,4 +49,10 @@ int main(int argc, char** argv) {
       "(the per-request admission advantage is exercised directly in "
       "tests/test_composers.cpp: GreedyWouldRejectWhatSplittingAdmits).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

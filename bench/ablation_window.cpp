@@ -6,7 +6,9 @@
 
 #include "figures_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   auto sweep = bench::paper_sweep(flags);
@@ -58,4 +60,10 @@ int main(int argc, char** argv) {
       "averaging of paper §3.2 is not a sensitive knob); only very large "
       "windows show mild staleness at the highest load.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -116,9 +116,7 @@ TrialResult run_trial(bool reliable, double loss_prob, int requests,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   const int reps = int(flags.get_int("rel-reps", 3));
@@ -201,4 +199,10 @@ int main(int argc, char** argv) {
     std::printf("csv written to %s\n", csv_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -55,24 +55,27 @@ inline int run_figure(int argc, char** argv, const std::string& title,
                       const std::function<double(const exp::RunMetrics&)>&
                           extract,
                       int precision = 3) {
-  util::Flags flags(argc, argv);
-  const auto sweep = paper_sweep(flags);
-  const std::string csv_path = flags.get_string("csv", "");
-  flags.finish();
+  // Bad flags and --help end through run_main: exit 2 / exit 0.
+  return util::run_main(argc, argv, [&](int, char**) {
+    util::Flags flags(argc, argv);
+    const auto sweep = paper_sweep(flags);
+    const std::string csv_path = flags.get_string("csv", "");
+    flags.finish();
 
-  // One pool for the whole figure: every (algorithm × rate × repetition)
-  // trial is an independent Simulator, so they all run in parallel.
-  util::ThreadPool pool(sweep.threads);
-  const auto result = exp::run_sweep(sweep, pool);
-  const auto table = exp::make_table(sweep, result, title, extract,
-                                     precision);
-  exp::print_table(table);
-  std::printf("paper expectation: %s\n", expectation.c_str());
-  if (!csv_path.empty()) {
-    exp::write_csv(table, csv_path);
-    std::printf("csv written to %s\n", csv_path.c_str());
-  }
-  return 0;
+    // One pool for the whole figure: every (algorithm × rate × repetition)
+    // trial is an independent Simulator, so they all run in parallel.
+    util::ThreadPool pool(sweep.threads);
+    const auto result = exp::run_sweep(sweep, pool);
+    const auto table = exp::make_table(sweep, result, title, extract,
+                                       precision);
+    exp::print_table(table);
+    std::printf("paper expectation: %s\n", expectation.c_str());
+    if (!csv_path.empty()) {
+      exp::write_csv(table, csv_path);
+      std::printf("csv written to %s\n", csv_path.c_str());
+    }
+    return 0;
+  });
 }
 
 }  // namespace rasc::bench

@@ -142,9 +142,7 @@ ScaleCell run_scale_cell(std::size_t nodes, int rep, double rate,
   return cell;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
 
   const std::size_t nodes = std::size_t(flags.get_int("nodes", 64));
@@ -336,4 +334,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -18,7 +18,9 @@
 
 #include "figures_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   auto sweep = bench::paper_sweep(flags);
@@ -164,4 +166,10 @@ int main(int argc, char** argv) {
     failed = true;
   }
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

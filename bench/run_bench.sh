@@ -16,7 +16,7 @@ if [[ "${2:-}" == "--baseline" ]]; then
   baseline="${3:?--baseline needs a path}"
 fi
 
-benches=(micro_flow_solver micro_mincost micro_overlay micro_scheduler pdes_speedup)
+benches=(micro_flow_solver micro_mincost micro_overlay micro_scheduler)
 out="$repo_root/BENCH_$(date +%Y-%m-%d).json"
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT

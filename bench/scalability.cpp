@@ -10,7 +10,9 @@
 
 #include "figures_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace rasc;
   util::Flags flags(argc, argv);
   auto sweep = bench::paper_sweep(flags);
@@ -73,4 +75,10 @@ int main(int argc, char** argv) {
       "work is O(providers x stages) and discovery is O(log N) Pastry "
       "routing, so nothing degrades with N at fixed per-node load.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -103,9 +103,7 @@ Cell run_cell(int shards, int gap_ms, bool chaos, int rep,
   return cell;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
 
   exp::RunConfig base;
@@ -255,4 +253,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

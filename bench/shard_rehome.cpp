@@ -34,9 +34,7 @@ struct Leg {
   exp::RunMetrics m;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Flags flags(argc, argv);
 
   exp::RunConfig base;
@@ -152,4 +150,10 @@ int main(int argc, char** argv) {
   }
   if (rc == 0) std::printf("all re-homing gates passed\n");
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return rasc::util::run_main(argc, argv, run);
 }

@@ -16,14 +16,8 @@
 //       [--shard-standby] [--standby-check-ms 500] [--submit-retry-ms 0]
 //       [--control-plane centralized|sharded|gossip] [--gossip-fanout 3]
 //       [--gossip-interval-ms 500] [--gossip-budget-bytes 3200]
-//       [--gossip-stale-rounds 30] [--sim-threads 8]
+//       [--gossip-stale-rounds 30]
 //       [--deadline-ms 400] [--adapt-predictive] [--slo-window-ms 1000]
-//
-// --sim-threads > 1 runs the discrete-event core sharded across worker
-// threads (one logical process per node, conservative lookahead sync).
-// Results are deterministic per (threads, seed) and identical for every
-// thread count > 1, but differ from --sim-threads=1 (per-node RNG
-// striping); the serial engine stays byte-identical to prior releases.
 //
 // --metrics-csv / --metrics-json dump the deployment-wide metric registry
 // snapshot (every net.*/runtime.*/sink.*/monitor.*/compose.* cell, stable
@@ -122,7 +116,6 @@ int run(int argc, char** argv) {
       std::size_t(flags.get_int("window", 200));
   cfg.world.monitor_params.advertise_reservations =
       flags.get_bool("reservations", false);
-  cfg.world.sim_threads = int(flags.get_int("sim-threads", 1));
 
   const std::string policy = flags.get_string("policy", "llf");
   if (policy == "fifo") {

@@ -155,16 +155,6 @@ void Injector::arm(sim::SimTime start, sim::SimTime end) {
   // Per-packet draws are a child stream so adding/removing timeline
   // entries never changes what a control-jitter window does to packets.
   packet_rng_ = rng.split(0x7061636b /* "pack" */);
-  if (simulator_.parallel()) {
-    // The interceptor fires on whichever LP owns the sending node, so
-    // stripe the per-packet stream per source. Split from a copy:
-    // packet_rng_'s own state stays what a serial run would have.
-    auto base = packet_rng_;
-    packet_rngs_.reserve(network_.size());
-    for (std::size_t n = 0; n < network_.size(); ++n) {
-      packet_rngs_.push_back(base.split(n + 1));
-    }
-  }
 
   scheduled_.reserve(timeline_.size());
   for (std::size_t i = 0; i < timeline_.size(); ++i) {
@@ -179,30 +169,26 @@ void Injector::update_interceptor() {
     return;
   }
   network_.set_send_interceptor(
-      [this](sim::NodeIndex src, sim::NodeIndex, const sim::Message* payload)
+      [this](sim::NodeIndex, sim::NodeIndex, const sim::Message* payload)
           -> sim::Network::SendPerturbation {
         sim::Network::SendPerturbation p;
         // Data units carry a unit id; everything else is control plane.
         if (payload != nullptr && payload->unit_id().has_value()) return p;
-        // Serial: the shared stream. Parallel: the sender's stripe (the
-        // interceptor runs on LP(src)).
-        auto& rng = packet_rngs_.empty() ? packet_rng_
-                                         : packet_rngs_[std::size_t(src)];
         // Loss draws first: a dropped packet consumes no delay/dup draws,
         // so a loss window composes with jitter without reshuffling the
         // jitter stream for surviving packets of loss-free runs.
         if (loss_windows_ > 0 && ctrl_loss_prob_ > 0 && payload != nullptr &&
             deploy_plane(*payload) &&
-            rng.bernoulli(ctrl_loss_prob_)) {
+            packet_rng_.bernoulli(ctrl_loss_prob_)) {
           p.drop = true;
           return p;
         }
         if (delay_windows_ > 0 && delay_prob_ > 0 &&
-            rng.bernoulli(delay_prob_)) {
+            packet_rng_.bernoulli(delay_prob_)) {
           p.extra_delay = sim::from_seconds(delay_ms_ / 1000.0);
         }
         if (dup_windows_ > 0 && dup_prob_ > 0 &&
-            rng.bernoulli(dup_prob_)) {
+            packet_rng_.bernoulli(dup_prob_)) {
           p.duplicates = 1;
         }
         return p;

@@ -120,12 +120,6 @@ class Injector {
   double dup_prob_ = 0;
   double ctrl_loss_prob_ = 0;
   util::Xoshiro256 packet_rng_;
-  /// Parallel simulation only: per-source-node children of packet_rng_
-  /// (derived once in arm() from a copy, so packet_rng_ itself is
-  /// untouched). The send interceptor runs on the sender's LP; striping
-  /// the draws per src keeps them race-free and deterministic. Empty in
-  /// serial mode, where packet_rng_ keeps its historical sequence.
-  std::vector<util::Xoshiro256> packet_rngs_;
 
   obs::Counter* faults_applied_ = nullptr;
   obs::Counter* crashes_ = nullptr;

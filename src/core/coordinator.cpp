@@ -1,8 +1,7 @@
 #include "core/coordinator.hpp"
 
-#include <algorithm>
-
 #include "core/backoff.hpp"
+#include "core/discovery.hpp"
 #include "runtime/deploy_messages.hpp"
 #include "util/logging.hpp"
 
@@ -67,7 +66,6 @@ void Coordinator::submit(const ServiceRequest& request, Composer& composer,
   pending->stream_start = stream_start;
   pending->stream_stop = stream_stop;
   pending->done = std::move(done);
-  pending->services = request.distinct_services();
   submitted_->add();
 
   if (auto err = request.validate(); !err.empty()) {
@@ -76,13 +74,18 @@ void Coordinator::submit(const ServiceRequest& request, Composer& composer,
     return;
   }
 
-  // Phase 1: discovery through the DHT (paper §3.1 step 1). Lookups can
-  // time out when control traffic queues behind saturated access links;
-  // each is retried a couple of times before the request is failed.
-  pending->lookups_outstanding = pending->services.size();
-  for (const auto& service : pending->services) {
-    lookup_with_retry(pending, service, kDiscoveryAttempts);
-  }
+  // Phase 1: discovery through the DHT (paper §3.1 step 1).
+  discover_providers(
+      simulator_, registry_, request.distinct_services(),
+      [this, pending](ProviderMap providers, std::string error) {
+        if (!error.empty()) {
+          pending->compose_result.error = std::move(error);
+          finish(pending, false);
+          return;
+        }
+        pending->provider_addrs = std::move(providers);
+        start_stats_phase(pending);
+      });
 }
 
 void Coordinator::submit_prepared(PreparedSubmit prepared) {
@@ -105,51 +108,6 @@ void Coordinator::submit_prepared(PreparedSubmit prepared) {
   deploy(pending);
 }
 
-void Coordinator::lookup_with_retry(const std::shared_ptr<Pending>& pending,
-                                    const std::string& service,
-                                    int attempts_left) {
-  registry_.lookup(
-      service, [this, pending, service, attempts_left](
-                   bool found, std::vector<sim::NodeIndex> providers) {
-        if ((!found || providers.empty()) && attempts_left > 1) {
-          // Exponential spacing (300ms, 600ms, ...) instead of a fixed
-          // beat: consecutive retries against a flapping overlay root
-          // spread out rather than re-arriving in lockstep.
-          const int failed_so_far = kDiscoveryAttempts - attempts_left;
-          simulator_.call_after(
-              capped_backoff(kDiscoveryBackoff, kDiscoveryBackoffMax,
-                             failed_so_far),
-              [this, pending, service, attempts_left] {
-                lookup_with_retry(pending, service, attempts_left - 1);
-              });
-          return;
-        }
-        if (!found || providers.empty()) {
-          pending->failed_services.push_back(service);
-        } else {
-          pending->provider_addrs[service] = std::move(providers);
-        }
-        if (--pending->lookups_outstanding == 0) {
-          if (!pending->failed_services.empty()) {
-            // Name every service that failed discovery, not just the one
-            // whose callback happened to finish last.
-            auto& failed = pending->failed_services;
-            std::sort(failed.begin(), failed.end());
-            std::string names;
-            for (const auto& s : failed) {
-              if (!names.empty()) names += ", ";
-              names += s;
-            }
-            pending->compose_result.error =
-                "service discovery failed for " + names;
-            finish(pending, false);
-          } else {
-            start_stats_phase(pending);
-          }
-        }
-      });
-}
-
 void Coordinator::start_stats_phase(const std::shared_ptr<Pending>& pending) {
   // Phase 2: gather utilization from every involved node (§3.1 step 2).
   std::set<sim::NodeIndex> targets;
@@ -163,20 +121,8 @@ void Coordinator::start_stats_phase(const std::shared_ptr<Pending>& pending) {
   stats_.query_many(
       std::vector<sim::NodeIndex>(targets.begin(), targets.end()),
       [this, pending](std::vector<monitor::NodeStats> stats) {
-        run_composition(pending, std::move(stats));
+        compose_and_deploy(pending, stats);
       });
-}
-
-void Coordinator::run_composition(const std::shared_ptr<Pending>& pending,
-                                  std::vector<monitor::NodeStats> stats) {
-  // Composition reads per-node state (provider stats were just gathered,
-  // the composer consults catalog and capacity views) and the deploy it
-  // triggers fans out messages to many nodes. Under a parallel simulation
-  // this must not run interleaved with LP events, so defer it to an
-  // exclusive slot (inline in serial mode).
-  simulator_.exclusive([this, pending, s = std::move(stats)] {
-    compose_and_deploy(pending, s);
-  });
 }
 
 void Coordinator::compose_and_deploy(

@@ -148,10 +148,7 @@ class Coordinator {
     sim::SimTime stream_stop = 0;
     Callback done;
 
-    std::vector<std::string> services;
-    std::size_t lookups_outstanding = 0;
     std::map<std::string, std::vector<sim::NodeIndex>> provider_addrs;
-    std::vector<std::string> failed_services;
 
     ComposeResult compose_result;
     std::set<std::uint64_t> awaiting_acks;
@@ -180,11 +177,7 @@ class Coordinator {
     sim::EventId timer = 0;
   };
 
-  void lookup_with_retry(const std::shared_ptr<Pending>& pending,
-                         const std::string& service, int attempts_left);
   void start_stats_phase(const std::shared_ptr<Pending>& pending);
-  void run_composition(const std::shared_ptr<Pending>& pending,
-                       std::vector<monitor::NodeStats> stats);
   void compose_and_deploy(const std::shared_ptr<Pending>& pending,
                           const std::vector<monitor::NodeStats>& stats);
   void deploy(const std::shared_ptr<Pending>& pending);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/backoff.hpp"
+#include "core/discovery.hpp"
 #include "core/plan_math.hpp"
 #include "runtime/lease_granter.hpp"
 #include "util/logging.hpp"
@@ -116,13 +116,12 @@ void CoordinatorShard::start(sim::SimTime at) {
     // Dormant: no leases, no batches — just the death watchdog. Every
     // renewal the primary lands on this node resets the suspicion clock,
     // so a healthy primary keeps the standby asleep forever.
-    simulator_.call_at_on(std::size_t(home_), at + params_.standby_check,
-                          [this] { standby_watch(); });
+    simulator_.call_at(at + params_.standby_check,
+                       [this] { standby_watch(); });
     return;
   }
   lease_.start(at);
-  simulator_.call_at_on(std::size_t(home_), at + params_.batch_window,
-                        [this] { drain(); });
+  simulator_.call_at(at + params_.batch_window, [this] { drain(); });
 }
 
 bool CoordinatorShard::handle_packet(const sim::Packet& packet) {
@@ -177,59 +176,22 @@ void CoordinatorShard::enqueue(const SubmitShardMsg& msg) {
 
   // Discovery through the DHT, exactly like an unsharded submission; the
   // job joins the admission queue once every provider list resolves.
-  const auto services = job->request.distinct_services();
-  job->lookups_outstanding = services.size();
-  for (const auto& service : services) {
-    lookup_with_retry(job, service, Coordinator::kDiscoveryAttempts);
-  }
-}
-
-void CoordinatorShard::lookup_with_retry(const JobPtr& job,
-                                         const std::string& service,
-                                         int attempts_left) {
-  registry_.lookup(
-      service, [this, job, service, attempts_left](
-                   bool found, std::vector<sim::NodeIndex> providers) {
-        if ((!found || providers.empty()) && attempts_left > 1) {
-          const int failed_so_far =
-              Coordinator::kDiscoveryAttempts - attempts_left;
-          simulator_.call_after_on(
-              std::size_t(home_),
-              capped_backoff(Coordinator::kDiscoveryBackoff,
-                             Coordinator::kDiscoveryBackoffMax,
-                             failed_so_far),
-              [this, job, service, attempts_left] {
-                lookup_with_retry(job, service, attempts_left - 1);
-              });
+  discover_providers(
+      simulator_, registry_, job->request.distinct_services(),
+      [this, job](ProviderMap providers, std::string error) {
+        if (!error.empty()) {
+          ComposeResult result;
+          result.error = std::move(error);
+          reject(job, std::move(result));
           return;
         }
-        if (!found || providers.empty()) {
-          job->failed_services.push_back(service);
-        } else {
-          job->provider_addrs[service] = std::move(providers);
-        }
-        if (--job->lookups_outstanding == 0) {
-          if (!job->failed_services.empty()) {
-            auto& failed = job->failed_services;
-            std::sort(failed.begin(), failed.end());
-            std::string names;
-            for (const auto& s : failed) {
-              if (!names.empty()) names += ", ";
-              names += s;
-            }
-            ComposeResult result;
-            result.error = "service discovery failed for " + names;
-            reject(job, std::move(result));
-          } else {
-            ready_.push_back(job);
-          }
-        }
+        job->provider_addrs = std::move(providers);
+        ready_.push_back(job);
       });
 }
 
 void CoordinatorShard::drain() {
-  simulator_.call_after_on(std::size_t(home_), params_.batch_window,
-                           [this] { drain(); });
+  simulator_.call_after(params_.batch_window, [this] { drain(); });
   if (ready_.empty()) return;
   batches_->add();
   batch_size_->observe(double(ready_.size()));
@@ -262,8 +224,8 @@ bool CoordinatorShard::retry_capacity(const JobPtr& job) {
   retries_->add();
   demand_window_kbps_ += job->request.total_rate_kbps();
   lease_.renew_now();
-  simulator_.call_after_on(std::size_t(home_), params_.retry_delay,
-                           [this, job] { ready_.push_back(job); });
+  simulator_.call_after(params_.retry_delay,
+                        [this, job] { ready_.push_back(job); });
   return true;
 }
 
@@ -411,8 +373,8 @@ void CoordinatorShard::standby_watch() {
     takeover();
     return;
   }
-  simulator_.call_after_on(std::size_t(home_), params_.standby_check,
-                           [this] { standby_watch(); });
+  simulator_.call_after(params_.standby_check,
+                        [this] { standby_watch(); });
 }
 
 void CoordinatorShard::takeover() {
@@ -435,12 +397,11 @@ void CoordinatorShard::takeover() {
   // lands.
   lease_.set_takeover_epoch(kTakeoverEpoch);
   lease_.start(simulator_.now());
-  simulator_.call_after_on(std::size_t(home_), params_.batch_window,
-                           [this] { drain(); });
+  simulator_.call_after(params_.batch_window, [this] { drain(); });
 
   // Reconstruction: ask every node for its slice of the shard's state.
   // Replies are collected until a fixed deadline — a deterministic cut,
-  // not a quorum, so replays are byte-identical at any thread count.
+  // not a quorum, so replays are byte-identical for a fixed seed.
   ++recover_request_id_;
   for (std::size_t n = 0; n < params_.nodes; ++n) {
     auto req = std::make_shared<runtime::ShardRecoverRequestMsg>();
@@ -450,8 +411,8 @@ void CoordinatorShard::takeover() {
     network_.send(home_, sim::NodeIndex(n),
                   runtime::ShardRecoverRequestMsg::kBytes, std::move(req));
   }
-  simulator_.call_after_on(std::size_t(home_), params_.reconstruct_timeout,
-                           [this] { adopt_collected(); });
+  simulator_.call_after(params_.reconstruct_timeout,
+                        [this] { adopt_collected(); });
 }
 
 void CoordinatorShard::adopt_collected() {

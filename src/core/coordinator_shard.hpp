@@ -20,9 +20,9 @@
 // epoch/dedup machinery of the deploy protocol guarantees the losing
 // attempt's partial state is rolled back exactly once.
 //
-// Determinism: everything runs on the home node's LP (batch timers
-// pinned, packets arrive there); outcome callbacks hop through
-// Simulator::exclusive exactly like unsharded submissions.
+// Determinism: everything is driven by simulator timers and packet
+// arrivals at the home node, so sharded runs replay byte-identically for
+// a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -188,9 +188,7 @@ class CoordinatorShard {
     std::uint64_t seq = 0;
     Coordinator::Callback done;
 
-    std::size_t lookups_outstanding = 0;
     std::map<std::string, std::vector<sim::NodeIndex>> provider_addrs;
-    std::vector<std::string> failed_services;
     /// View-side debits of the last composed plan (returned on NACK).
     std::map<sim::NodeIndex, LeaseDebit> debits;
     int attempts = 0;
@@ -209,8 +207,6 @@ class CoordinatorShard {
   };
 
   void enqueue(const SubmitShardMsg& msg);
-  void lookup_with_retry(const JobPtr& job, const std::string& service,
-                         int attempts_left);
   void drain();
   // --- Standby takeover state machine: suspect -> fence -> reconstruct
   // -> adopt (DESIGN.md §17) ---

@@ -19,13 +19,12 @@ LeaseManager::LeaseManager(sim::Simulator& simulator, sim::Network& network,
       views_(nodes) {}
 
 void LeaseManager::start(sim::SimTime at) {
-  simulator_.call_at_on(std::size_t(home_), at, [this] { sweep(); });
+  simulator_.call_at(at, [this] { sweep(); });
 }
 
 void LeaseManager::sweep() {
   request_all();
-  simulator_.call_after_on(std::size_t(home_), params_.renew_period,
-                           [this] { sweep(); });
+  simulator_.call_after(params_.renew_period, [this] { sweep(); });
 }
 
 void LeaseManager::renew_now() {
@@ -43,12 +42,11 @@ void LeaseManager::request_all() {
   const double demand =
       demand_provider_ ? demand_provider_() : -1.0;
   // Staggered so a large fleet's renewals do not hit the home node's
-  // access link as one burst. Each send runs on the home LP.
+  // access link as one burst.
   for (std::size_t i = 0; i < views_.size(); ++i) {
     const auto target = sim::NodeIndex(i);
-    simulator_.call_after_on(
-        std::size_t(home_), params_.stagger * std::int64_t(i),
-        [this, target, demand] {
+    simulator_.call_after(
+        params_.stagger * std::int64_t(i), [this, target, demand] {
           auto req = std::make_shared<runtime::LeaseRequestMsg>();
           req->shard = shard_;
           req->requester = home_;

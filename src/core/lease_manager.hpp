@@ -13,9 +13,9 @@
 // spends the view down with consume() as it admits requests; debits of
 // attempts that NACK or time out come back via the next renewal grant.
 //
-// Determinism: the sweep timers are pinned to the home node's LP and all
-// other mutations happen on packet arrival, so sharded runs replay
-// byte-identically at any worker-thread count.
+// Determinism: the sweep timers are simulator events and all other
+// mutations happen on packet arrival, so sharded runs replay
+// byte-identically for a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,7 @@ class LeaseManager {
   LeaseManager& operator=(const LeaseManager&) = delete;
 
   /// Schedules the first renewal sweep at `at` (subsequent sweeps follow
-  /// every renew_period). Pinned to the home node's LP.
+  /// every renew_period).
   void start(sim::SimTime at);
 
   /// Source of the demand hint (kbps) piggybacked on every renewal
@@ -66,7 +66,7 @@ class LeaseManager {
   /// Fires one off-cycle renewal sweep immediately (the periodic cadence
   /// is unchanged). Used when a composition failed against the current
   /// view: the refreshed demand hint lets the granters enlarge this
-  /// shard's shares before the request retries. Must run on the home LP.
+  /// shard's shares before the request retries.
   void renew_now();
 
   /// Takeover epoch stamped on every renewal request from now on. A

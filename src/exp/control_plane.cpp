@@ -255,18 +255,13 @@ void ShardControlPlane::dispatch(const core::ServiceRequest& request,
 
 void ShardControlPlane::resolve_pending(runtime::AppId app,
                                         core::SubmitOutcome outcome) {
-  // Outcomes surface from shard callouts on arbitrary LPs; the journal
-  // mutation and the user callback need exclusive access. First outcome
-  // wins — the original and a re-submitted copy can both resolve, and
-  // the caller's callback must fire exactly once.
-  world_.simulator().exclusive(
-      [this, app, outcome = std::move(outcome)]() {
-        const auto it = pending_.find(app);
-        if (it == pending_.end()) return;
-        auto done = std::move(it->second.done);
-        pending_.erase(it);
-        if (done) done(outcome);
-      });
+  // First outcome wins — the original and a re-submitted copy can both
+  // resolve, and the caller's callback must fire exactly once.
+  const auto it = pending_.find(app);
+  if (it == pending_.end()) return;
+  auto done = std::move(it->second.done);
+  pending_.erase(it);
+  if (done) done(outcome);
 }
 
 void ShardControlPlane::retry_pending(runtime::AppId app) {

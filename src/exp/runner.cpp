@@ -132,23 +132,20 @@ RunMetrics run_experiment(const RunConfig& config,
   // counted when first admitted).
   if (sharded && config.shard_standby) {
     plane->set_adopt_handler(
-        [&simulator, &world, supervise, adapt, adapt_params](
+        [&world, supervise, adapt, adapt_params](
             sim::NodeIndex home, const core::ServiceRequest& request,
             const runtime::AppPlan& plan,
             const std::map<std::string, std::vector<sim::NodeIndex>>&
                 providers,
             sim::SimTime stream_stop) {
-          simulator.exclusive([&world, supervise, adapt, adapt_params, home,
-                               request, plan, providers, stream_stop] {
-            auto& host = world.host(std::size_t(home));
-            if (adapt) {
-              host.enable_adapter(adapt_params)
-                  .track(request, plan, providers, stream_stop);
-            }
-            if (supervise) {
-              host.supervisor().watch(request, plan, stream_stop, {});
-            }
-          });
+          auto& host = world.host(std::size_t(home));
+          if (adapt) {
+            host.enable_adapter(adapt_params)
+                .track(request, plan, providers, stream_stop);
+          }
+          if (supervise) {
+            host.supervisor().watch(request, plan, stream_stop, {});
+          }
         });
   }
 
@@ -181,67 +178,60 @@ RunMetrics run_experiment(const RunConfig& config,
     const sim::NodeIndex ctl_node =
         sharded ? plane->home_of(plane->shard_of(request.app))
                 : request.source;
-    simulator.call_at(when, [&simulator, &world, &metrics, &request,
-                             &composer, &plane, &gossip_plane, stream_stop,
-                             supervise, adapt, adapt_params, sharded, gossip,
-                             rehome, ctl_node] {
-      auto on_outcome = [&simulator, &world, &metrics, &request,
-                         &gossip_plane, stream_stop, supervise, adapt,
-                         adapt_params, gossip, rehome,
+    simulator.call_at(when, [&world, &metrics, &request, &composer, &plane,
+                             &gossip_plane, stream_stop, supervise, adapt,
+                             adapt_params, sharded, gossip, rehome,
+                             ctl_node] {
+      auto on_outcome = [&world, &metrics, &request, &gossip_plane,
+                         stream_stop, supervise, adapt, adapt_params, gossip,
+                         rehome,
                          ctl_node](const core::SubmitOutcome& outcome) {
-        // The outcome handler mutates run-wide metrics and arms the
-        // adapter/supervisor (which read cross-node state); under a
-        // parallel simulation it must run with the LPs parked.
-        simulator.exclusive([&world, &metrics, &request, &gossip_plane,
-                             stream_stop, supervise, adapt, adapt_params,
-                             gossip, rehome, ctl_node, outcome] {
-          if (outcome.compose.admitted) {
-            ++metrics.composed;
-            metrics.components +=
-                std::int64_t(outcome.compose.plan.component_count());
-            for (const auto& sub : outcome.compose.plan.substreams) {
-              metrics.stages += std::int64_t(sub.stages.size());
-            }
-            // Admission-time latency prediction, exported next to the
-            // observed sink.delay_ms for the same app (only composers
-            // running with a LatencyModel produce one).
-            if (outcome.compose.predicted_latency_ms >= 0) {
-              obs::Labels labels;
-              labels.app = request.app;
-              world.metrics()
-                  .gauge("predict.latency_ms", labels)
-                  .set(outcome.compose.predicted_latency_ms);
-            }
-            // The shard that actually admitted may differ from the hash
-            // home computed at submission time (a standby takeover or a
-            // failover re-homed the app). Only honored with standbys on:
-            // plain runs keep the legacy static attachment byte-for-byte.
-            const sim::NodeIndex admitted_on =
-                rehome && outcome.admitted_by != sim::kInvalidNode
-                    ? outcome.admitted_by
-                    : ctl_node;
-            auto& host = world.host(std::size_t(admitted_on));
-            // Adapter before supervisor: watch() consults the adapter
-            // as its first-line starvation response.
-            if (adapt) {
-              auto& adapter = host.enable_adapter(adapt_params);
-              // Decentralized runs feed replanning snapshots from the
-              // node-local gossip view instead of central stats queries.
-              if (gossip) {
-                gossip_plane->feed_adapter(std::size_t(ctl_node), adapter);
-              }
-              adapter.track(request, outcome.compose.plan,
-                            outcome.providers, stream_stop);
-            }
-            if (supervise) {
-              host.supervisor().watch(request, outcome.compose.plan,
-                                      stream_stop, {});
-            }
-          } else {
-            RASC_LOG(kDebug) << "app " << request.app
-                             << " rejected: " << outcome.compose.error;
+        if (outcome.compose.admitted) {
+          ++metrics.composed;
+          metrics.components +=
+              std::int64_t(outcome.compose.plan.component_count());
+          for (const auto& sub : outcome.compose.plan.substreams) {
+            metrics.stages += std::int64_t(sub.stages.size());
           }
-        });
+          // Admission-time latency prediction, exported next to the
+          // observed sink.delay_ms for the same app (only composers
+          // running with a LatencyModel produce one).
+          if (outcome.compose.predicted_latency_ms >= 0) {
+            obs::Labels labels;
+            labels.app = request.app;
+            world.metrics()
+                .gauge("predict.latency_ms", labels)
+                .set(outcome.compose.predicted_latency_ms);
+          }
+          // The shard that actually admitted may differ from the hash
+          // home computed at submission time (a standby takeover or a
+          // failover re-homed the app). Only honored with standbys on:
+          // plain runs keep the legacy static attachment byte-for-byte.
+          const sim::NodeIndex admitted_on =
+              rehome && outcome.admitted_by != sim::kInvalidNode
+                  ? outcome.admitted_by
+                  : ctl_node;
+          auto& host = world.host(std::size_t(admitted_on));
+          // Adapter before supervisor: watch() consults the adapter
+          // as its first-line starvation response.
+          if (adapt) {
+            auto& adapter = host.enable_adapter(adapt_params);
+            // Decentralized runs feed replanning snapshots from the
+            // node-local gossip view instead of central stats queries.
+            if (gossip) {
+              gossip_plane->feed_adapter(std::size_t(ctl_node), adapter);
+            }
+            adapter.track(request, outcome.compose.plan,
+                          outcome.providers, stream_stop);
+          }
+          if (supervise) {
+            host.supervisor().watch(request, outcome.compose.plan,
+                                    stream_stop, {});
+          }
+        } else {
+          RASC_LOG(kDebug) << "app " << request.app
+                           << " rejected: " << outcome.compose.error;
+        }
       };
       if (sharded) {
         plane->submit(request, /*stream_start=*/0, stream_stop,
@@ -263,8 +253,7 @@ RunMetrics run_experiment(const RunConfig& config,
   // sink.delay_ms histogram deltas, summed over that app's sinks — is
   // scored against the deadline; a window with deliveries before it but
   // none inside it counts as starved (violated). Scheduled only when a
-  // deadline is set; the probe reads the registry inside ordinary global
-  // events, which the parallel engine already runs exclusively.
+  // deadline is set.
   struct SloAppState {
     double sum_ms = 0;  // Σ mean·count over the app's delay cells
     std::int64_t count = 0;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "overlay/registry.hpp"
-#include "util/logging.hpp"
 
 namespace rasc::exp {
 
@@ -15,22 +14,6 @@ World::World(const WorldConfig& config) : config_(config) {
   auto topo_rng = simulator_->rng().split(0x746f706f /* "topo" */);
   auto topology =
       sim::make_planetlab_like(config.nodes, topo_rng, config.net);
-
-  if (config.sim_threads > 1) {
-    if (trace_.enabled()) {
-      RASC_LOG(kWarn) << "unit tracing is unsupported with --sim-threads > 1;"
-                      << " disabling the trace";
-      trace_.set_enabled(false);
-    }
-    // One LP per simulated node; the lookahead is the topology's minimum
-    // jittered cross-node latency, which bounds how far ahead any LP can
-    // be affected by another.
-    sim::Simulator::ParallelConfig pc;
-    pc.threads = config.sim_threads;
-    pc.num_lps = config.nodes;
-    pc.lookahead = sim::conservative_lookahead(topology);
-    simulator_->enable_parallel(pc);
-  }
 
   network_ = std::make_unique<sim::Network>(*simulator_, std::move(topology),
                                             &metrics_, &trace_);

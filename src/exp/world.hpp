@@ -41,15 +41,6 @@ struct WorldConfig {
   /// Off by default: the trace is observational only (it never perturbs
   /// simulation state), but recording costs memory and time.
   bool enable_unit_trace = false;
-  /// Worker threads for the discrete-event core. 1 (default) keeps the
-  /// historical serial engine, byte-identical to every prior release.
-  /// N > 1 shards the simulation into one logical process per node with
-  /// conservative safe-window synchronization; results are deterministic
-  /// per (threads, seed) and identical across all N > 1 for a fixed
-  /// seed, but not byte-identical to the serial engine (per-node RNG
-  /// striping). Unit tracing is unsupported in parallel mode and is
-  /// forced off with a warning.
-  int sim_threads = 1;
   std::uint64_t seed = 1;
 };
 

@@ -54,8 +54,7 @@ void Agent::start(sim::SimTime at) {
   const sim::SimDuration phase =
       (params_.interval * (std::uint64_t(node_) % 97)) / 97;
   const sim::SimTime first = at + phase;
-  round_event_ = simulator_.call_at_on(std::size_t(node_), first,
-                                       [this] { run_round(); });
+  round_event_ = simulator_.call_at(first, [this] { run_round(); });
 }
 
 void Agent::refresh_self() {
@@ -142,9 +141,8 @@ void Agent::run_round() {
   round_bytes_->set(double(round_bytes));
 
   ++round_;
-  round_event_ = simulator_.call_after_on(std::size_t(node_),
-                                          params_.interval,
-                                          [this] { run_round(); });
+  round_event_ =
+      simulator_.call_after(params_.interval, [this] { run_round(); });
 }
 
 bool Agent::handle_packet(const sim::Packet& packet) {

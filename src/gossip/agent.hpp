@@ -22,10 +22,10 @@
 // sails past its own tombstone on the next digest.
 //
 // Determinism: the peer rotation is a seeded permutation private to this
-// agent, rounds are LP-pinned timers with a node-indexed phase offset (so
-// no two agents tick at the same instant in serial mode), and both the
-// view and the digest fill iterate ordered containers. Same (seed, fleet)
-// => byte-identical gossip traffic at any worker-thread count.
+// agent, rounds are timers with a node-indexed phase offset (so no two
+// agents tick at the same instant), and both the view and the digest fill
+// iterate ordered containers. Same (seed, fleet) => byte-identical gossip
+// traffic.
 #pragma once
 
 #include <cstdint>

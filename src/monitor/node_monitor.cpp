@@ -29,12 +29,8 @@ NodeMonitor::NodeMonitor(sim::Simulator& simulator, sim::Network& network,
   queue_length_gauge_ = &registry_->gauge("monitor.queue_length", labels);
   last_bytes_in_ = network_.bytes_received(node_);
   last_bytes_out_ = network_.bytes_sent(node_);
-  // The sampling timer lives on this node's LP: samples read network
-  // counters and runtime-fed windows for this node only, and pinning them
-  // keeps the periodic work off the global queue in parallel runs.
-  sample_event_ = simulator_.call_after_on(std::size_t(node_),
-                                           params_.sample_period,
-                                           [this] { sample_bandwidth(); });
+  sample_event_ = simulator_.call_after(params_.sample_period,
+                                        [this] { sample_bandwidth(); });
 }
 
 NodeMonitor::~NodeMonitor() {
@@ -58,9 +54,8 @@ void NodeMonitor::set_blackout(bool on) {
 void NodeMonitor::sample_bandwidth() {
   if (stopped_) return;
   if (blackout_) {
-    sample_event_ = simulator_.call_after_on(std::size_t(node_),
-                                             params_.sample_period,
-                                             [this] { sample_bandwidth(); });
+    sample_event_ = simulator_.call_after(params_.sample_period,
+                                          [this] { sample_bandwidth(); });
     return;
   }
   const std::int64_t in_now = network_.bytes_received(node_);
@@ -79,9 +74,8 @@ void NodeMonitor::sample_bandwidth() {
   cpu_fraction_gauge_->set(cpu_window_.mean());
   drop_ratio_gauge_->set(outcomes_.ratio());
   queue_length_gauge_->set(double(queue_length_));
-  sample_event_ = simulator_.call_after_on(std::size_t(node_),
-                                           params_.sample_period,
-                                           [this] { sample_bandwidth(); });
+  sample_event_ = simulator_.call_after(params_.sample_period,
+                                        [this] { sample_bandwidth(); });
 }
 
 void NodeMonitor::on_unit_processed() { outcomes_.record(false); }

@@ -102,10 +102,10 @@ class MetricRegistry {
   static const T* find_cell(const CellMap<T>& cells, std::string_view name,
                             const Labels& labels);
 
-  /// Guards the cell maps themselves, not the cells: parallel-simulation
-  /// LPs may lazily create cells (deploy.* counters, per-kind network
-  /// columns) concurrently. Cells keep stable addresses, so the
-  /// steady-state emit path — through a cached pointer — takes no lock.
+  /// Guards the cell maps themselves, not the cells: cells are created
+  /// lazily (deploy.* counters, per-kind network columns), possibly while
+  /// another thread reads the registry. Cells keep stable addresses, so
+  /// the steady-state emit path — through a cached pointer — takes no lock.
   mutable std::mutex mu_;
   CellMap<Counter> counters_;
   CellMap<Gauge> gauges_;

@@ -28,11 +28,10 @@ struct Labels {
   friend auto operator<=>(const Labels&, const Labels&) = default;
 };
 
-/// Monotonic event count. Increments are relaxed atomics: several logical
-/// processes of a parallel simulation may bump the same cell (e.g. the
-/// network's global packet counters) inside one safe window, and integer
-/// sums are order-independent, so relaxed is all determinism needs. The
-/// serial path pays one uncontended atomic add.
+/// Monotonic event count. Increments are relaxed atomics, so a cell stays
+/// safe to bump or read from more than one thread; integer sums are
+/// order-independent, so relaxed is all determinism needs. A
+/// single-threaded world pays one uncontended atomic add.
 class Counter {
  public:
   Counter() = default;

@@ -29,10 +29,9 @@ void PastryNode::bootstrap_as_first() {
 
 void PastryNode::start_maintenance() {
   // Small per-node phase offset so the fleet does not exchange in
-  // lock-step bursts. The timer is pinned to this node's LP: maintenance
-  // touches only this node's routing state and sends via the network.
-  maintenance_event_ = simulator_.call_after_on(
-      std::size_t(addr_), kLeafMaintenanceFast + sim::usec(137) * (addr_ % 64),
+  // lock-step bursts.
+  maintenance_event_ = simulator_.call_after(
+      kLeafMaintenanceFast + sim::usec(137) * (addr_ % 64),
       [this] { run_maintenance(); });
 }
 
@@ -58,8 +57,8 @@ void PastryNode::run_maintenance() {
   const auto interval = maintenance_rounds_ < kFastMaintenanceRounds
                             ? kLeafMaintenanceFast
                             : kLeafMaintenanceSlow;
-  maintenance_event_ = simulator_.call_after_on(
-      std::size_t(addr_), interval, [this] { run_maintenance(); });
+  maintenance_event_ =
+      simulator_.call_after(interval, [this] { run_maintenance(); });
 }
 
 void PastryNode::send_direct(sim::NodeIndex to, std::int64_t size,

@@ -14,8 +14,8 @@
 // against its remaining lease instead of tearing the app down).
 //
 // Determinism: everything here is driven by packet arrivals and
-// simulator timers on this node's own LP, so sharded runs replay
-// byte-identically for a fixed seed at any worker-thread count.
+// simulator timers, so sharded runs replay byte-identically for a fixed
+// seed.
 #pragma once
 
 #include <cstdint>

@@ -295,11 +295,9 @@ bool NodeRuntime::app_has_state(AppId app) const {
 
 void NodeRuntime::schedule_reap() {
   // Half-lease cadence bounds how long past its lease an orphan can
-  // survive to 1.5 leases. Pinned to this node's LP: reaping reads and
-  // mutates only this runtime's component tables.
-  reap_event_ = simulator_.call_after_on(std::size_t(node_),
-                                         params_.orphan_lease / 2,
-                                         [this] { reap_orphans(); });
+  // survive to 1.5 leases.
+  reap_event_ = simulator_.call_after(params_.orphan_lease / 2,
+                                      [this] { reap_orphans(); });
 }
 
 void NodeRuntime::reap_orphans() {

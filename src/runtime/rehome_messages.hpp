@@ -19,8 +19,8 @@
 // timeout), then adopts: for every ledger app with a complete
 // source->stages->sink picture it rebuilds the ServiceRequest and
 // AppPlan and re-attaches supervision/adaptation. Everything here rides
-// simulated packets and per-LP timers, so takeover replays
-// byte-identically at any worker-thread count.
+// simulated packets and simulator timers, so takeover replays
+// byte-identically for a fixed seed.
 #pragma once
 
 #include <cstdint>

@@ -17,9 +17,8 @@ obs::Labels node_labels(std::size_t node) {
 }
 
 // Chaos re-entry guard for send(): delayed/duplicated copies skip the
-// interceptor. thread_local because the copy re-enters send() on whichever
-// worker runs the source node's LP; a shared member would race and a
-// per-instance flag could leak across LPs sharing a thread.
+// interceptor. thread_local rather than a plain static so that worlds run
+// side by side on a thread pool never share one depth counter.
 thread_local int tl_intercept_depth = 0;
 
 }  // namespace
@@ -60,19 +59,11 @@ Network::Network(Simulator& simulator, Topology topology,
   }
   packets_sent_ = &registry_->counter("net.packets_sent");
   packets_dropped_ = &registry_->counter("net.packets_dropped");
-  // Pre-size the per-kind columns: parallel LPs index them concurrently,
-  // so they must never reallocate. Null slots mean "kind not interned yet".
+  // Pre-size the per-kind columns so they never reallocate while a reader
+  // holds a cell pointer. Null slots mean "kind not interned yet".
   for (std::size_t i = 0; i < n; ++i) {
     sent_by_kind_[i].assign(kMaxKinds, nullptr);
     received_by_kind_[i].assign(kMaxKinds, nullptr);
-  }
-  if (simulator_.parallel()) {
-    // One derived stream per node so LPs never contend on loss_rng_. The
-    // splits read from a copy: loss_rng_ itself keeps the exact state a
-    // serial run would have, and parallel worlds stay comparable.
-    auto base = loss_rng_;
-    lp_rngs_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) lp_rngs_.push_back(base.split(i + 1));
   }
 }
 
@@ -152,9 +143,8 @@ Network::KindId Network::kind_id(const Message* payload) {
     if (key == nullptr) break;
   }
 
-  // Slow path: intern under the lock. Another thread may have interned the
-  // same kind (or the same string via a different literal) meanwhile, so
-  // re-check the by-content map first.
+  // Slow path: intern under the lock. The same string may already be
+  // interned via a different literal, so look it up by content first.
   std::lock_guard<std::mutex> lk(kind_mu_);
   const auto [it, inserted] =
       kind_ids_.emplace(kind, KindId(kind_names_.size()));
@@ -163,7 +153,7 @@ Network::KindId Network::kind_id(const Message* payload) {
       throw std::length_error("Network: more than kMaxKinds message kinds");
     }
     // New kind: fill one counter column slot per node. Columns are
-    // pre-sized, so concurrent readers of *other* kinds see no resize.
+    // pre-sized, so readers of *other* kinds never see a resize.
     kind_names_.emplace_back(kind);
     for (std::size_t n = 0; n < topology_.size(); ++n) {
       obs::Labels labels = node_labels(n);
@@ -358,22 +348,15 @@ void Network::send(NodeIndex src, NodeIndex dst, std::int64_t size_bytes,
       topology_.latency_us[std::size_t(src)][std::size_t(dst)] +
       extra_latency_[std::size_t(src)] + extra_latency_[std::size_t(dst)];
   if (topology_.latency_jitter > 0) {
-    // Jitter is drawn from the *sender's* stream (send runs on LP(src)).
-    // The draw is >= the (1 - jitter) factor exactly, so the arrival can
-    // never undercut the topology's conservative_lookahead bound.
     latency = SimDuration(double(latency) *
-                          rng_for(src).uniform_double(
+                          loss_rng_.uniform_double(
                               1.0 - topology_.latency_jitter,
                               1.0 + topology_.latency_jitter));
   }
   const SimTime arrival = departed + latency;
-  // The arrival event belongs to the destination's LP: in parallel mode
-  // this crosses LPs through the inbox protocol, in serial mode it is a
-  // plain call_at.
-  simulator_.call_at_on(std::size_t(dst), arrival,
-                        [this, p = std::move(packet)]() mutable {
-                          arrive(std::move(p));
-                        });
+  simulator_.call_at(arrival, [this, p = std::move(packet)]() mutable {
+    arrive(std::move(p));
+  });
 }
 
 void Network::arrive(Packet packet) {
@@ -389,10 +372,7 @@ void Network::arrive(Packet packet) {
   if (injected > 0) {
     loss_rate = 1.0 - (1.0 - loss_rate) * (1.0 - injected);
   }
-  // The loss draw comes from the destination's stream: arrive() runs on
-  // LP(dst), and keeping the draw there makes the sequence deterministic
-  // per node regardless of which senders' packets interleave.
-  if (loss_rate > 0 && rng_for(packet.dst).bernoulli(loss_rate)) {
+  if (loss_rate > 0 && loss_rng_.bernoulli(loss_rate)) {
     count_lost(packet, obs::DropReason::kLinkLoss);
     return;
   }

@@ -174,8 +174,8 @@ class Network {
   static constexpr SimDuration kLoopbackDelay = usec(20);
 
   /// Hard cap on distinct interned message kinds. Per-(node, kind) counter
-  /// columns are pre-sized to this so parallel LPs can index them without
-  /// synchronization; interning a kind beyond the cap throws. Real
+  /// columns are pre-sized to this so indexing them never races a resize;
+  /// interning a kind beyond the cap throws. Real
   /// deployments use ~a dozen kinds.
   static constexpr std::size_t kMaxKinds = 64;
 
@@ -212,11 +212,11 @@ class Network {
   // Kind interning: `kind()` returns string literals, so a pointer probe
   // short-circuits the by-content lookup after each call site's first
   // send. The probe table is a fixed open-addressed array of (atomic key,
-  // id) pairs so parallel LPs can read it lock-free; `kind_mu_` guards the
-  // slow path that interns a new kind (string dedupe + column fill + slot
-  // publish, key released last). Per-kind byte cells are indexed
-  // [node][kind id]; columns are pre-sized to kMaxKinds so concurrent
-  // indexing never observes a vector resize.
+  // id) pairs, read lock-free; `kind_mu_` guards the slow path that
+  // interns a new kind (string dedupe + column fill + slot publish, key
+  // released last). Per-kind byte cells are indexed [node][kind id];
+  // columns are pre-sized to kMaxKinds so indexing never observes a
+  // vector resize.
   struct KindSlot {
     std::atomic<const char*> key{nullptr};
     std::atomic<KindId> id{0};
@@ -231,14 +231,6 @@ class Network {
 
   std::vector<bool> up_;
   util::Xoshiro256 loss_rng_;
-  /// Parallel mode only: one RNG stream per node, derived once from
-  /// `loss_rng_`'s state at construction, so jitter/loss draws for traffic
-  /// owned by different LPs never contend on a shared stream. Empty in
-  /// serial mode, where `loss_rng_` keeps its historical draw sequence.
-  std::vector<util::Xoshiro256> lp_rngs_;
-  util::Xoshiro256& rng_for(NodeIndex node) {
-    return lp_rngs_.empty() ? loss_rng_ : lp_rngs_[std::size_t(node)];
-  }
 
   // Chaos state. Defaults leave the packet path bit-identical to a
   // chaos-free build: scale 1.0 multiplies exactly, extra latency 0 adds
@@ -247,9 +239,8 @@ class Network {
   std::vector<SimDuration> extra_latency_;
   std::vector<double> injected_loss_;
   SendInterceptor send_interceptor_;
-  // The re-intercept depth guard lives in a thread_local in network.cpp:
-  // delayed/duplicated copies re-enter send() on whichever thread runs the
-  // owning LP, and the guard must not leak between LPs.
+  // The re-intercept depth guard lives in a thread_local in network.cpp,
+  // so worlds running on different threads never share it.
 };
 
 }  // namespace rasc::sim

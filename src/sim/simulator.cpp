@@ -1,73 +1,18 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace rasc::sim {
 
-void Simulator::enable_parallel(const ParallelConfig& config) {
-  if (engine_ != nullptr) {
-    throw std::logic_error("Simulator::enable_parallel called twice");
-  }
-  if (!queue_.empty() || processed_ != 0) {
-    throw std::logic_error(
-        "Simulator::enable_parallel: events already scheduled");
-  }
-  ParallelEngine::Config pc;
-  pc.threads = config.threads;
-  pc.num_lps = config.num_lps;
-  pc.lookahead = config.lookahead;
-  pc.seed = seed_;
-  engine_ = std::make_unique<ParallelEngine>(pc);
-}
-
 EventId Simulator::call_after(SimDuration delay, std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    const SimTime base = engine_->now();
-    return engine_->schedule(base + std::max<SimDuration>(delay, 0),
-                             std::move(fn));
-  }
   return call_at(now_ + std::max<SimDuration>(delay, 0), std::move(fn));
 }
 
 EventId Simulator::call_at(SimTime t, std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    return engine_->schedule(t, std::move(fn));  // engine clamps to now
-  }
   return queue_.schedule(std::max(t, now_), std::move(fn));
 }
 
-EventId Simulator::call_after_on(std::size_t lp, SimDuration delay,
-                                 std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    const SimTime base = engine_->now();
-    return engine_->schedule_on(lp, base + std::max<SimDuration>(delay, 0),
-                                std::move(fn));
-  }
-  return call_after(delay, std::move(fn));
-}
-
-EventId Simulator::call_at_on(std::size_t lp, SimTime t,
-                              std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    return engine_->schedule_on(lp, t, std::move(fn));
-  }
-  return call_at(t, std::move(fn));
-}
-
-void Simulator::exclusive(std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    engine_->exclusive(std::move(fn));
-    return;
-  }
-  fn();
-}
-
 void Simulator::run_until(SimTime end) {
-  if (engine_ != nullptr) {
-    engine_->run_until(end);
-    return;
-  }
   while (!queue_.empty() && queue_.next_time() <= end) {
     auto fired = queue_.pop();
     now_ = fired.time;
@@ -78,7 +23,6 @@ void Simulator::run_until(SimTime end) {
 }
 
 std::size_t Simulator::run_all(std::size_t max_events) {
-  if (engine_ != nullptr) return engine_->run_all(max_events);
   std::size_t n = 0;
   while (!queue_.empty() && n < max_events) {
     auto fired = queue_.pop();
@@ -91,7 +35,6 @@ std::size_t Simulator::run_all(std::size_t max_events) {
 }
 
 bool Simulator::step() {
-  if (engine_ != nullptr) return engine_->step();
   if (queue_.empty()) return false;
   auto fired = queue_.pop();
   now_ = fired.time;

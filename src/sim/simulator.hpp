@@ -1,24 +1,15 @@
 // The discrete-event simulator core.
 //
-// One Simulator instance is a self-contained simulated world. By default it
-// is single-threaded: experiment parallelism comes from running many
+// One Simulator instance is a self-contained simulated world and is
+// single-threaded: experiment parallelism comes from running many
 // independent Simulator instances on a thread pool (one per experiment
-// cell), never from sharing one instance across threads.
-//
-// enable_parallel() switches the instance to the sharded conservative PDES
-// engine (see sim/parallel_engine.hpp): one logical process per simulated
-// node, worker threads executing safe windows bounded by the topology's
-// minimum link latency. The serial path is not routed through the engine
-// at all, so a Simulator that never calls enable_parallel behaves — byte
-// for byte — exactly as it always has.
+// cell or repetition), never from sharing one instance across threads.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "sim/event_queue.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
 
@@ -26,32 +17,15 @@ namespace rasc::sim {
 
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1) : rng_(seed), seed_(seed) {}
+  explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  struct ParallelConfig {
-    int threads = 2;
-    /// Number of logical processes (one per simulated node).
-    std::size_t num_lps = 0;
-    /// Conservative lower bound on cross-LP message delay, in
-    /// microseconds (see conservative_lookahead() in sim/topology.hpp).
-    SimDuration lookahead = 1;
-  };
-
-  /// Switches to the parallel engine. Call once, before any event is
-  /// scheduled (worlds call it right after building their topology).
-  void enable_parallel(const ParallelConfig& config);
-  bool parallel() const { return engine_ != nullptr; }
-
-  /// Context clock: the executing LP's local time in parallel mode.
-  SimTime now() const { return engine_ ? engine_->now() : now_; }
+  SimTime now() const { return now_; }
 
   /// Root RNG for this world; subsystems should take `rng().split(tag)`.
-  /// In parallel mode, called from LP context, this is the LP's own
-  /// stream instead (never shared across threads).
-  util::Xoshiro256& rng() { return engine_ ? engine_->rng(rng_) : rng_; }
+  util::Xoshiro256& rng() { return rng_; }
 
   /// Schedules `fn` to run `delay` after now. Negative delays clamp to now
   /// (events never fire in the past).
@@ -60,23 +34,11 @@ class Simulator {
   /// Schedules `fn` at absolute time `t` (clamped to now).
   EventId call_at(SimTime t, std::function<void()> fn);
 
-  /// Like call_after/call_at, but the event is owned by (and runs on)
-  /// logical process `lp` in parallel mode. Serial mode ignores the pin.
-  /// Cross-LP calls return 0: such events cannot be cancelled.
-  EventId call_after_on(std::size_t lp, SimDuration delay,
-                        std::function<void()> fn);
-  EventId call_at_on(std::size_t lp, SimTime t, std::function<void()> fn);
+  /// Runs `fn` immediately. Kept only because perfbench/drive.cpp still
+  /// calls it; nothing under src/ does.
+  void exclusive(const std::function<void()>& fn) { fn(); }
 
-  /// Runs `fn` with exclusive access to the whole world: immediately in
-  /// serial mode (and on the coordinating thread in parallel mode); from
-  /// LP context it is deferred to the next safe-window barrier, where it
-  /// runs with every worker parked and now() reporting the caller's time.
-  /// Use for work that reads or writes state owned by many nodes.
-  void exclusive(std::function<void()> fn);
-
-  bool cancel(EventId id) {
-    return engine_ ? engine_->cancel(id) : queue_.cancel(id);
-  }
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs events until the queue is empty or simulated time would exceed
   /// `end`. The clock is left at min(end, last event time).
@@ -89,20 +51,14 @@ class Simulator {
   /// Fires exactly one event if any is pending; returns whether one fired.
   bool step();
 
-  std::size_t pending_events() const {
-    return engine_ ? engine_->pending_events() : queue_.size();
-  }
-  std::size_t processed_events() const {
-    return engine_ ? engine_->processed_events() : processed_;
-  }
+  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t processed_events() const { return processed_; }
 
  private:
   EventQueue queue_;
   SimTime now_ = 0;
   std::size_t processed_ = 0;
   util::Xoshiro256 rng_;
-  std::uint64_t seed_;
-  std::unique_ptr<ParallelEngine> engine_;
 };
 
 }  // namespace rasc::sim

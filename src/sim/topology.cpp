@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace rasc::sim {
 
@@ -57,23 +56,6 @@ std::vector<std::size_t> nodes_by_ascending_bandwidth(const Topology& t) {
                      return ba < bb;
                    });
   return order;
-}
-
-SimDuration conservative_lookahead(const Topology& t) {
-  SimDuration min_latency = std::numeric_limits<SimDuration>::max();
-  const std::size_t n = t.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      min_latency = std::min(min_latency, t.latency_us[i][j]);
-    }
-  }
-  if (n < 2 || min_latency <= 0) return 1;
-  // Truncation matches the jittered-latency computation in Network::send
-  // (double -> SimDuration truncates toward zero), and the extra >= 1us of
-  // output serialization absorbs any floating-point shortfall.
-  const double scaled = double(min_latency) * (1.0 - t.latency_jitter);
-  return std::max<SimDuration>(1, SimDuration(scaled));
 }
 
 }  // namespace rasc::sim

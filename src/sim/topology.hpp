@@ -71,12 +71,4 @@ Topology make_planetlab_like(std::size_t n, util::Xoshiro256& rng,
 /// deterministically ("flap the weakest link", "overload the k weakest").
 std::vector<std::size_t> nodes_by_ascending_bandwidth(const Topology& t);
 
-/// Conservative PDES lookahead for this topology: a lower bound (floored
-/// at 1us) on the propagation delay of any cross-node packet, i.e. the
-/// minimum off-diagonal latency scaled by the worst-case jitter factor
-/// (1 - latency_jitter). Chaos faults only ever *add* latency, and output
-/// serialization contributes a further >= 1us (ceil), so a packet sent at
-/// time t is always delivered at or after t + lookahead.
-SimDuration conservative_lookahead(const Topology& t);
-
 }  // namespace rasc::sim

@@ -160,7 +160,8 @@ std::string Flags::usage() const {
   return out;
 }
 
-int run_main(int argc, char** argv, int (*body)(int, char**)) {
+int run_main(int argc, char** argv,
+             const std::function<int(int, char**)>& body) {
   const std::string program = argc > 0 ? basename_of(argv[0]) : "";
   try {
     return body(argc, argv);

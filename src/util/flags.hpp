@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -76,6 +77,7 @@ class Flags {
 /// HelpRequested prints the usage to stdout and exits 0; FlagError (a bad
 /// command line) prints the message to stderr and exits 2; any other
 /// std::exception prints the message and exits 1.
-int run_main(int argc, char** argv, int (*body)(int, char**));
+int run_main(int argc, char** argv,
+             const std::function<int(int, char**)>& body);
 
 }  // namespace rasc::util

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/backoff.hpp"
+#include "core/discovery.hpp"
 #include "core/greedy_composer.hpp"
 #include "core/mincost_composer.hpp"
 #include "exp/world.hpp"
@@ -189,6 +190,38 @@ TEST(Coordinator, DiscoveryRetriesSpreadOut) {
   EXPECT_GE(outcome.composition_latency,
             Coordinator::kDiscoveryBackoff * 3)
       << "retries arrived in lockstep instead of backing off";
+}
+
+TEST(Discovery, CallsBackOnceWithProvidersOrSortedFailures) {
+  exp::World world(small_world());
+  auto& sim = world.simulator();
+  overlay::ServiceRegistry registry(world.overlay().at(0));
+  int calls = 0;
+  ProviderMap providers;
+  std::string error;
+  const DiscoveryCallback record = [&](ProviderMap p, std::string e) {
+    ++calls;
+    providers = std::move(p);
+    error = std::move(e);
+  };
+
+  // Two of three services unknown: one callback naming both, sorted, and
+  // no partial provider map.
+  discover_providers(sim, registry, {"zz-missing", "svc0", "aa-missing"},
+                     record);
+  sim.run_until(sim.now() + sim::sec(12));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(error, "service discovery failed for aa-missing, zz-missing");
+  EXPECT_TRUE(providers.empty());
+
+  calls = 0;
+  discover_providers(sim, registry, {"svc1", "svc0"}, record);
+  sim.run_until(sim.now() + sim::sec(12));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(error, "");
+  ASSERT_EQ(providers.size(), 2u);
+  EXPECT_FALSE(providers["svc0"].empty());
+  EXPECT_FALSE(providers["svc1"].empty());
 }
 
 }  // namespace

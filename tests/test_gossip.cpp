@@ -2,7 +2,7 @@
 // simulated fleet, hop-by-hop composer behavior (greedy walk, bounded
 // backtracking) on hand-built inputs, and end-to-end
 // --control-plane=gossip runs — admission and streaming, byte-identical
-// same-seed replays at any thread count, knob neutrality for the default
+// same-seed replays, knob neutrality for the default
 // planes, and convergence under churn and monitor-blackout chaos.
 #include <gtest/gtest.h>
 
@@ -313,18 +313,6 @@ TEST(GossipRunner, RepeatedRunsAreByteIdentical) {
   exp::run_experiment(gossip_run(), &a);
   exp::run_experiment(gossip_run(), &b);
   EXPECT_EQ(snapshot_csv(a), snapshot_csv(b));
-}
-
-TEST(GossipRunner, ThreadCountInvariant) {
-  auto cfg = gossip_run();
-  cfg.world.sim_threads = 2;
-  std::vector<obs::MetricRow> two, four;
-  const auto m2 = exp::run_experiment(cfg, &two);
-  cfg.world.sim_threads = 4;
-  const auto m4 = exp::run_experiment(cfg, &four);
-  EXPECT_EQ(snapshot_csv(two), snapshot_csv(four));
-  EXPECT_EQ(m2.gossip_admitted, m4.gossip_admitted);
-  EXPECT_EQ(m2.emitted, m4.emitted);
 }
 
 TEST(GossipRunner, DefaultPlanesIgnoreGossipKnobs) {
