@@ -37,9 +37,14 @@ Coordinator::Coordinator(sim::Simulator& simulator, sim::Network& network,
   admitted_ = &metrics_->counter("compose.admitted", labels);
   rejected_ = &metrics_->counter("compose.rejected", labels);
   latency_ms_ = &metrics_->histogram("compose.latency_ms", labels);
+  network_.on<runtime::DeployAck>(
+      node_, this,
+      [](Coordinator& self, const runtime::DeployAck& ack,
+         const sim::Packet& packet) { self.receive(ack, packet.src); });
 }
 
 Coordinator::~Coordinator() {
+  network_.remove_handlers(node_, this);
   for (auto& [rid, r] : retx_) {
     (void)rid;
     simulator_.cancel(r.timer);
@@ -315,28 +320,25 @@ void Coordinator::deploy(const std::shared_ptr<Pending>& pending) {
       });
 }
 
-bool Coordinator::handle_packet(const sim::Packet& packet) {
-  const auto* ack =
-      dynamic_cast<const runtime::DeployAck*>(packet.payload.get());
-  if (ack == nullptr) return false;
-  const auto it = ack_routing_.find(ack->request_id);
+void Coordinator::receive(const runtime::DeployAck& ack, sim::NodeIndex from) {
+  const auto it = ack_routing_.find(ack.request_id);
   if (it == ack_routing_.end()) {
     // Stale: a duplicate ack, or one for a deploy that already timed out.
     // Counted only under an explicit policy so legacy runs (where heavy
     // load can time deploys out too) keep byte-identical snapshots.
     if (policy_.enabled()) lazy_counter("deploy.stale_ack", stale_ack_).add();
-    return true;
+    return;
   }
   auto pending = it->second;
   ack_routing_.erase(it);
-  clear_retransmit(ack->request_id);
+  clear_retransmit(ack.request_id);
   // Source acks only confirm delivery of the (fire-and-forget) source
   // start; the outcome was already reported when they went out.
-  if (pending->sources_started) return true;
-  pending->awaiting_acks.erase(ack->request_id);
-  if (!ack->ok) {
+  if (pending->sources_started) return;
+  pending->awaiting_acks.erase(ack.request_id);
+  if (!ack.ok) {
     pending->any_nack = true;
-    pending->nacked.push_back(packet.src);
+    pending->nacked.push_back(from);
   }
 
   if (pending->awaiting_acks.empty()) {
@@ -346,7 +348,7 @@ bool Coordinator::handle_packet(const sim::Packet& packet) {
       pending->compose_result.admitted = false;
       pending->compose_result.error = "a deployment was rejected";
       finish(pending, false);
-      return true;
+      return;
     }
     // All components and sinks are up: start the sources at the app's
     // source node (fire and forget; the source node is typically us).
@@ -378,7 +380,6 @@ bool Coordinator::handle_packet(const sim::Packet& packet) {
     pending->sources_started = true;
     finish(pending, true);
   }
-  return true;
 }
 
 void Coordinator::finish(const std::shared_ptr<Pending>& pending,

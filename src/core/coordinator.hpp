@@ -124,9 +124,6 @@ class Coordinator {
   /// reported through SubmitOutcome::nacked for plan repair.
   void submit_prepared(PreparedSubmit prepared);
 
-  /// Consumes DeployAck packets addressed to this coordinator.
-  bool handle_packet(const sim::Packet& packet);
-
   /// Fast-forwards the deploy-epoch counter to at least `floor`. A
   /// standby adopting a dead coordinator's apps calls this with the
   /// highest epoch the fleet recorded for them, so this coordinator's
@@ -181,6 +178,8 @@ class Coordinator {
   void compose_and_deploy(const std::shared_ptr<Pending>& pending,
                           const std::vector<monitor::NodeStats>& stats);
   void deploy(const std::shared_ptr<Pending>& pending);
+  /// DeployAck from node `from` (registered per kind at construction).
+  void receive(const runtime::DeployAck& ack, sim::NodeIndex from);
   void finish(const std::shared_ptr<Pending>& pending, bool deployed);
   /// Arms the retransmission ladder for `rid` (policy budget > 0 only).
   void arm_retransmit(std::uint64_t rid, sim::NodeIndex target,

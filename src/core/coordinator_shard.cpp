@@ -65,6 +65,15 @@ CoordinatorShard::CoordinatorShard(
   retries_ = &metrics_->counter("shard.retries", labels);
   batch_size_ = &metrics_->histogram("shard.batch_size", labels);
   latency_ms_ = &metrics_->histogram("shard.latency_ms", labels);
+  network_.on<SubmitShardMsg, runtime::ShardRecoverReplyMsg>(
+      home_, this,
+      [](CoordinatorShard& self, const auto& m, const sim::Packet&) {
+        self.receive(m);
+      });
+}
+
+CoordinatorShard::~CoordinatorShard() {
+  network_.remove_handlers(home_, this);
 }
 
 std::int32_t CoordinatorShard::shard_of(runtime::AppId app, int shards) {
@@ -124,33 +133,27 @@ void CoordinatorShard::start(sim::SimTime at) {
   simulator_.call_at(at + params_.batch_window, [this] { drain(); });
 }
 
-bool CoordinatorShard::handle_packet(const sim::Packet& packet) {
-  if (lease_.handle_packet(packet)) return true;
-  if (const auto* reply = dynamic_cast<const runtime::ShardRecoverReplyMsg*>(
-          packet.payload.get())) {
-    if (reply->shard == params_.shard &&
-        reply->request_id == recover_request_id_ && !adopted_) {
-      recover_replies_.push_back(*reply);
-    }
-    return true;
+void CoordinatorShard::receive(const runtime::ShardRecoverReplyMsg& reply) {
+  if (reply.shard == params_.shard &&
+      reply.request_id == recover_request_id_ && !adopted_) {
+    recover_replies_.push_back(reply);
   }
-  const auto* submit =
-      dynamic_cast<const SubmitShardMsg*>(packet.payload.get());
-  if (submit == nullptr) return false;
+}
+
+void CoordinatorShard::receive(const SubmitShardMsg& submit) {
   if (!active_ && !(local_granter_ != nullptr &&
                     local_granter_->holder_suspect(params_.shard))) {
     // A dormant standby only owns the shard once the primary looks dead
     // from here too; a submission routed in on transient suspicion is
     // forwarded to the live primary instead of being held hostage.
-    auto fwd = std::make_shared<SubmitShardMsg>(*submit);
+    auto fwd = std::make_shared<SubmitShardMsg>(submit);
     const std::int64_t size = fwd->wire_size();
     network_.send(home_, params_.primary_home, size, std::move(fwd));
-    return true;
+    return;
   }
   // A dormant-but-suspecting standby queues the submission: discovery
   // runs now, composition starts with the first post-takeover drain.
-  enqueue(*submit);
-  return true;
+  enqueue(submit);
 }
 
 void CoordinatorShard::enqueue(const SubmitShardMsg& msg) {

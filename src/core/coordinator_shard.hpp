@@ -55,7 +55,8 @@ namespace rasc::core {
 /// submitting host's outcome callback as a same-process convenience (the
 /// simulation never serializes callbacks; wire size models the request).
 struct SubmitShardMsg final : sim::Message {
-  const char* kind() const override { return "core.submit_shard"; }
+  static constexpr char kKind[] = "core.submit_shard";
+  const char* kind() const override { return kKind; }
   ServiceRequest request;
   sim::SimTime stream_start = 0;
   sim::SimTime stream_stop = 0;
@@ -145,15 +146,13 @@ class CoordinatorShard {
                    const runtime::ServiceCatalog& catalog,
                    std::unique_ptr<Composer> composer, Params params,
                    obs::MetricRegistry* registry = nullptr);
+  ~CoordinatorShard();
 
   CoordinatorShard(const CoordinatorShard&) = delete;
   CoordinatorShard& operator=(const CoordinatorShard&) = delete;
 
   /// Starts lease renewals and the batch drain cadence at `at`.
   void start(sim::SimTime at);
-
-  /// Consumes SubmitShardMsg and lease grant/revoke packets.
-  bool handle_packet(const sim::Packet& packet);
 
   /// Which shard of `shards` owns `app` (stable hash, uniform).
   static std::int32_t shard_of(runtime::AppId app, int shards);
@@ -206,6 +205,10 @@ class CoordinatorShard {
     std::size_t outstanding = 0;
   };
 
+  // Registered per kind at construction, at the home node (the lease
+  // manager registers the grant/revoke kinds itself).
+  void receive(const SubmitShardMsg& submit);
+  void receive(const runtime::ShardRecoverReplyMsg& reply);
   void enqueue(const SubmitShardMsg& msg);
   void drain();
   // --- Standby takeover state machine: suspect -> fence -> reconstruct

@@ -16,7 +16,14 @@ LeaseManager::LeaseManager(sim::Simulator& simulator, sim::Network& network,
       home_(home),
       shard_(shard),
       params_(params),
-      views_(nodes) {}
+      views_(nodes) {
+  network_.on<runtime::LeaseGrantMsg, runtime::LeaseRevokeMsg>(
+      home_, this, [](LeaseManager& self, const auto& m, const sim::Packet&) {
+        self.receive(m);
+      });
+}
+
+LeaseManager::~LeaseManager() { network_.remove_handlers(home_, this); }
 
 void LeaseManager::start(sim::SimTime at) {
   simulator_.call_at(at, [this] { sweep(); });
@@ -59,44 +66,33 @@ void LeaseManager::request_all() {
   }
 }
 
-bool LeaseManager::handle_packet(const sim::Packet& packet) {
-  const auto* payload = packet.payload.get();
-  if (const auto* grant =
-          dynamic_cast<const runtime::LeaseGrantMsg*>(payload)) {
-    if (grant->shard != shard_) return true;
-    if (grant->node < 0 || std::size_t(grant->node) >= views_.size()) {
-      return true;
-    }
-    View& v = views_[std::size_t(grant->node)];
-    // A reordered stale grant (older epoch) must not roll the view back.
-    if (grant->lease_epoch <= v.epoch) return true;
-    // Unresolved deploys spend the node's *new* remainder when they land
-    // (previous-term debits are honored there), and the share it just
-    // computed could not have counted them — so the fresh grant must
-    // carry that pending exposure before the view plans against it.
-    v.in_kbps = std::max(0.0, grant->in_kbps - v.pending_in);
-    v.out_kbps = std::max(0.0, grant->out_kbps - v.pending_out);
-    v.epoch = grant->lease_epoch;
-    v.expires_at = grant->expires_at;
-    v.has_grant = true;
-    v.stats = grant->stats;
-    return true;
+void LeaseManager::receive(const runtime::LeaseGrantMsg& grant) {
+  if (grant.shard != shard_) return;
+  if (grant.node < 0 || std::size_t(grant.node) >= views_.size()) return;
+  View& v = views_[std::size_t(grant.node)];
+  // A reordered stale grant (older epoch) must not roll the view back.
+  if (grant.lease_epoch <= v.epoch) return;
+  // Unresolved deploys spend the node's *new* remainder when they land
+  // (previous-term debits are honored there), and the share it just
+  // computed could not have counted them — so the fresh grant must
+  // carry that pending exposure before the view plans against it.
+  v.in_kbps = std::max(0.0, grant.in_kbps - v.pending_in);
+  v.out_kbps = std::max(0.0, grant.out_kbps - v.pending_out);
+  v.epoch = grant.lease_epoch;
+  v.expires_at = grant.expires_at;
+  v.has_grant = true;
+  v.stats = grant.stats;
+}
+
+void LeaseManager::receive(const runtime::LeaseRevokeMsg& revoke) {
+  if (revoke.shard != shard_) return;
+  if (revoke.node < 0 || std::size_t(revoke.node) >= views_.size()) return;
+  View& v = views_[std::size_t(revoke.node)];
+  if (revoke.lease_epoch >= v.epoch) {
+    v.in_kbps = 0;
+    v.out_kbps = 0;
+    v.has_grant = false;
   }
-  if (const auto* revoke =
-          dynamic_cast<const runtime::LeaseRevokeMsg*>(payload)) {
-    if (revoke->shard != shard_) return true;
-    if (revoke->node < 0 || std::size_t(revoke->node) >= views_.size()) {
-      return true;
-    }
-    View& v = views_[std::size_t(revoke->node)];
-    if (revoke->lease_epoch >= v.epoch) {
-      v.in_kbps = 0;
-      v.out_kbps = 0;
-      v.has_grant = false;
-    }
-    return true;
-  }
-  return false;
 }
 
 bool LeaseManager::valid(sim::NodeIndex node) const {

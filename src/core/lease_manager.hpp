@@ -26,6 +26,11 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
+namespace rasc::runtime {
+struct LeaseGrantMsg;
+struct LeaseRevokeMsg;
+}  // namespace rasc::runtime
+
 namespace rasc::core {
 
 class LeaseManager {
@@ -44,9 +49,11 @@ class LeaseManager {
     sim::SimDuration offcycle_min_gap = sim::msec(1500);
   };
 
+  /// Registers for LeaseGrantMsg and LeaseRevokeMsg packets at `home`.
   LeaseManager(sim::Simulator& simulator, sim::Network& network,
                sim::NodeIndex home, std::int32_t shard, std::size_t nodes,
                Params params);
+  ~LeaseManager();
 
   LeaseManager(const LeaseManager&) = delete;
   LeaseManager& operator=(const LeaseManager&) = delete;
@@ -74,9 +81,6 @@ class LeaseManager {
   /// its first sweep; the granters then fence off the old holder. The
   /// default 0 keeps requests byte-identical to pre-rehoming runs.
   void set_takeover_epoch(std::uint64_t epoch) { takeover_epoch_ = epoch; }
-
-  /// Consumes LeaseGrantMsg / LeaseRevokeMsg packets; false otherwise.
-  bool handle_packet(const sim::Packet& packet);
 
   /// A grant for `node` is held and has not passed its deadline.
   bool valid(sim::NodeIndex node) const;
@@ -116,6 +120,9 @@ class LeaseManager {
   double remaining_out_kbps(sim::NodeIndex node) const;
 
  private:
+  void receive(const runtime::LeaseGrantMsg& grant);
+  void receive(const runtime::LeaseRevokeMsg& revoke);
+
   struct View {
     double in_kbps = 0;   // granted minus view-side spends
     double out_kbps = 0;

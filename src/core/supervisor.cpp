@@ -41,6 +41,10 @@ AppSupervisor::AppSupervisor(sim::Simulator& simulator,
   recoveries_failed_ =
       &metrics_->counter("supervisor.recoveries_failed", labels);
   gave_up_ = &metrics_->counter("supervisor.gave_up", labels);
+  network_.on<runtime::SinkHealthReply>(
+      node_, this,
+      [](AppSupervisor& self, const runtime::SinkHealthReply& reply,
+         const sim::Packet&) { self.receive(reply); });
 }
 
 AppSupervisor::AppSupervisor(sim::Simulator& simulator,
@@ -49,6 +53,7 @@ AppSupervisor::AppSupervisor(sim::Simulator& simulator,
     : AppSupervisor(simulator, network, coordinator, composer, Params()) {}
 
 AppSupervisor::~AppSupervisor() {
+  network_.remove_handlers(node_, this);
   for (auto& [app, w] : watched_) {
     (void)app;
     simulator_.cancel(w->timer);
@@ -131,22 +136,18 @@ void AppSupervisor::run_check(runtime::AppId app) {
       });
 }
 
-bool AppSupervisor::handle_packet(const sim::Packet& packet) {
-  const auto* reply =
-      dynamic_cast<const runtime::SinkHealthReply*>(packet.payload.get());
-  if (reply == nullptr) return false;
-  const auto route = probe_routing_.find(reply->request_id);
-  if (route == probe_routing_.end()) return true;  // stale
+void AppSupervisor::receive(const runtime::SinkHealthReply& reply) {
+  const auto route = probe_routing_.find(reply.request_id);
+  if (route == probe_routing_.end()) return;  // stale
   const auto app = route->second;
   probe_routing_.erase(route);
   const auto it = watched_.find(app);
-  if (it == watched_.end()) return true;
+  if (it == watched_.end()) return;
   Watched& w = *it->second;
-  if (w.pending_probe != reply->request_id) return true;
+  if (w.pending_probe != reply.request_id) return;
   simulator_.cancel(w.probe_timeout_event);
   w.pending_probe = 0;
-  on_probe_result(app, reply->delivered);
-  return true;
+  on_probe_result(app, reply.delivered);
 }
 
 void AppSupervisor::on_probe_result(runtime::AppId app,

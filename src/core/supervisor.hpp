@@ -91,12 +91,12 @@ class AppSupervisor {
   /// the adapter under their fresh id.
   void set_adapter(RateAdapter* adapter) { adapter_ = adapter; }
 
-  /// Consumes SinkHealthReply packets; false for anything else.
-  bool handle_packet(const sim::Packet& packet);
-
   std::size_t watched_count() const { return watched_.size(); }
 
  private:
+  /// Registered per kind at construction.
+  void receive(const runtime::SinkHealthReply& reply);
+
   struct Watched {
     ServiceRequest request;
     runtime::AppPlan plan;

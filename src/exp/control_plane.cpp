@@ -76,7 +76,6 @@ ShardControlPlane::ShardControlPlane(World& world, Config config,
                       rng.split(0x73686172u /* "shar" */ ^ std::uint64_t(s)),
                       config_.composer_options),
         params, &world.metrics()));
-    host.set_shard(shards_.back().get());
   }
 
   // Dormant standbys, one per shard, each on a node of its own. The home
@@ -114,18 +113,8 @@ ShardControlPlane::ShardControlPlane(World& world, Config config,
               config_.composer_options),
           params, &world.metrics()));
       standbys_.back()->set_local_granter(host.lease_granter());
-      host.set_shard(standbys_.back().get());
       standby_homes_.push_back(home);
     }
-  }
-}
-
-ShardControlPlane::~ShardControlPlane() {
-  for (const auto& shard : shards_) {
-    world_.host(std::size_t(shard->home())).set_shard(nullptr);
-  }
-  for (const auto& standby : standbys_) {
-    world_.host(std::size_t(standby->home())).set_shard(nullptr);
   }
 }
 

@@ -74,7 +74,6 @@ class ShardControlPlane {
   /// Wires granters and shards into `world`'s hosts. `rng` seeds the
   /// per-shard composer randomness (split per shard).
   ShardControlPlane(World& world, Config config, util::Xoshiro256 rng);
-  ~ShardControlPlane();
 
   ShardControlPlane(const ShardControlPlane&) = delete;
   ShardControlPlane& operator=(const ShardControlPlane&) = delete;

@@ -106,10 +106,6 @@ GossipControlPlane::GossipControlPlane(World& world, Config config,
         std::make_unique<core::GossipComposer>(config_.composer);
     client.registry = std::make_unique<overlay::ServiceRegistry>(
         world.overlay().at(n));
-    gossip::Agent* agent = client.agent.get();
-    host.set_extra_handler([agent](const sim::Packet& packet) {
-      return agent->handle_packet(packet);
-    });
   }
 
   obs::Labels global;
@@ -117,12 +113,6 @@ GossipControlPlane::GossipControlPlane(World& world, Config config,
   admitted_ = &world.metrics().counter("gossip.admitted", global);
   rejected_ = &world.metrics().counter("gossip.rejected", global);
   repairs_ = &world.metrics().counter("gossip.repairs", global);
-}
-
-GossipControlPlane::~GossipControlPlane() {
-  for (std::size_t n = 0; n < clients_.size(); ++n) {
-    world_.host(n).set_extra_handler(nullptr);
-  }
 }
 
 void GossipControlPlane::start(sim::SimTime at) {

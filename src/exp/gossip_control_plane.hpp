@@ -46,7 +46,6 @@ class GossipControlPlane {
   /// enables each node's lease granter as the pool-debit authority.
   /// `rng` seeds the per-node agent rotation streams.
   GossipControlPlane(World& world, Config config, util::Xoshiro256 rng);
-  ~GossipControlPlane();
 
   GossipControlPlane(const GossipControlPlane&) = delete;
   GossipControlPlane& operator=(const GossipControlPlane&) = delete;

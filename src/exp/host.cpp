@@ -31,15 +31,18 @@ Host::Host(sim::Simulator& simulator, sim::Network& network,
       simulator, network, *coordinator_, *recovery_composer_,
       core::AppSupervisor::Params(), registry);
 
+  network.set_handler(node, [](const sim::Packet& packet) {
+    RASC_LOG(kWarn) << "host " << packet.dst << ": unhandled packet kind "
+                    << (packet.payload ? packet.payload->kind() : "null");
+  });
+
   // Data units tail-dropped at this node's port queues are congestion
   // losses this node caused: they feed the drop-ratio the composers see.
   monitor::NodeMonitor* monitor = monitor_.get();
+  const sim::KindId unit_kind = network.kind_id(runtime::DataUnit::kKind);
   network.set_drop_handler(
-      node, [monitor](const sim::Packet& packet, bool outgoing) {
-        (void)outgoing;
-        if (dynamic_cast<const runtime::DataUnit*>(packet.payload.get())) {
-          monitor->on_unit_dropped();
-        }
+      node, [monitor, unit_kind](const sim::Packet& packet, bool) {
+        if (packet.kind == unit_kind) monitor->on_unit_dropped();
       });
 }
 
@@ -62,18 +65,6 @@ core::RateAdapter& Host::enable_adapter(
     supervisor_->set_adapter(adapter_.get());
   }
   return *adapter_;
-}
-
-void Host::handle_packet(const sim::Packet& packet) {
-  if (stats_->handle_packet(packet)) return;
-  if (runtime_->handle_packet(packet)) return;
-  if (coordinator_->handle_packet(packet)) return;
-  if (supervisor_->handle_packet(packet)) return;
-  if (granter_ != nullptr && granter_->handle_packet(packet)) return;
-  if (shard_ != nullptr && shard_->handle_packet(packet)) return;
-  if (extra_ && extra_(packet)) return;
-  RASC_LOG(kWarn) << "host " << packet.dst << ": unhandled packet kind "
-                  << (packet.payload ? packet.payload->kind() : "null");
 }
 
 }  // namespace rasc::exp

@@ -1,13 +1,14 @@
 // A Host bundles everything that lives on one simulated node: the resource
 // monitor, the stats agent, the stream runtime and the composition
-// coordinator. It is the per-node packet demultiplexer installed as the
-// overlay's fallback handler (overlay traffic is consumed upstream).
+// coordinator. Each subsystem registers its own packet kinds in the node's
+// row of the network dispatch table (as do the overlay node, a coordinator
+// shard or a gossip agent homed here); the Host adds the node's catch-all,
+// which logs a packet no subsystem here consumes and drops it uncounted.
 #pragma once
 
 #include <memory>
 
 #include "core/coordinator.hpp"
-#include "core/coordinator_shard.hpp"
 #include "core/mincost_composer.hpp"
 #include "core/rate_adapter.hpp"
 #include "core/supervisor.hpp"
@@ -50,17 +51,6 @@ class Host {
   /// The granter, or nullptr while enable_lease_granter was never called.
   runtime::LeaseGranter* lease_granter() { return granter_.get(); }
 
-  /// Installs the coordinator shard homed on this node (owned by the
-  /// ShardControlPlane); its packets route through handle_packet.
-  void set_shard(core::CoordinatorShard* shard) { shard_ = shard; }
-
-  /// Extra per-node packet consumer at the end of the demux chain (the
-  /// gossip agent; owned by its control plane). Return true = consumed.
-  using ExtraHandler = std::function<bool(const sim::Packet&)>;
-  void set_extra_handler(ExtraHandler handler) {
-    extra_ = std::move(handler);
-  }
-
   /// Constructs this node's rate adapter on first call (idempotent for
   /// identical params; later calls return the existing instance) and
   /// wires it into the supervisor as the first-line starvation response.
@@ -69,9 +59,6 @@ class Host {
   core::RateAdapter& enable_adapter(const core::RateAdapter::Params& params);
   /// The adapter, or nullptr while enable_adapter was never called.
   core::RateAdapter* adapter() { return adapter_.get(); }
-
-  /// Non-overlay packet entry point (install as Overlay fallback).
-  void handle_packet(const sim::Packet& packet);
 
  private:
   std::unique_ptr<monitor::NodeMonitor> monitor_;
@@ -90,8 +77,6 @@ class Host {
   /// Declared after supervisor_ so pending adapter callbacks die first.
   std::unique_ptr<core::RateAdapter> adapter_;
   std::unique_ptr<runtime::LeaseGranter> granter_;
-  core::CoordinatorShard* shard_ = nullptr;
-  ExtraHandler extra_;
 };
 
 }  // namespace rasc::exp

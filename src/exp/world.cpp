@@ -66,17 +66,14 @@ World::World(const WorldConfig& config) : config_(config) {
     }
   }
 
-  // Hosts (monitor + runtime + coordinator per node), wired as the
-  // overlay's non-overlay packet handler.
+  // Hosts (monitor + runtime + coordinator per node); their subsystems
+  // register their packet kinds beside the overlay node's.
   hosts_.reserve(config.nodes);
   for (std::size_t n = 0; n < config.nodes; ++n) {
     hosts_.push_back(std::make_unique<Host>(
         *simulator_, *network_, overlay_->at(n), catalog_,
         config.monitor_params, config.runtime_params, &metrics_, &trace_,
         config.deploy_policy));
-    Host* host = hosts_.back().get();
-    overlay_->set_fallback(
-        n, [host](const sim::Packet& p) { host->handle_packet(p); });
   }
 
   // Register every (service, node) pair in the DHT and wait for the

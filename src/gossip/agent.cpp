@@ -41,9 +41,15 @@ Agent::Agent(sim::Simulator& simulator, sim::Network& network,
     if (sim::NodeIndex(i) != node_) rotation_.push_back(sim::NodeIndex(i));
   }
   rng_.shuffle(rotation_);
+  network_.on<GossipDigestMsg>(
+      node_, this,
+      [](Agent& self, const GossipDigestMsg& digest, const sim::Packet&) {
+        self.receive(digest);
+      });
 }
 
 Agent::~Agent() {
+  network_.remove_handlers(node_, this);
   if (round_event_ != 0) simulator_.cancel(round_event_);
 }
 
@@ -145,11 +151,8 @@ void Agent::run_round() {
       simulator_.call_after(params_.interval, [this] { run_round(); });
 }
 
-bool Agent::handle_packet(const sim::Packet& packet) {
-  const auto* digest =
-      dynamic_cast<const GossipDigestMsg*>(packet.payload.get());
-  if (digest == nullptr) return false;
-  for (const LoadSummary& incoming : digest->entries) {
+void Agent::receive(const GossipDigestMsg& digest) {
+  for (const LoadSummary& incoming : digest.entries) {
     if (incoming.origin == node_) continue;  // sole authority for self
     const auto it = view_.find(incoming.origin);
     std::uint64_t floor = 0;
@@ -167,7 +170,6 @@ bool Agent::handle_packet(const sim::Packet& packet) {
       merges_stale_->add();
     }
   }
-  return true;
 }
 
 void Agent::mark_suspect(sim::NodeIndex origin) {

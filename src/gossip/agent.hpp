@@ -85,9 +85,6 @@ class Agent {
   /// deterministic node-indexed phase offset.
   void start(sim::SimTime at);
 
-  /// Consumes gossip digests; returns false (untouched) otherwise.
-  bool handle_packet(const sim::Packet& packet);
-
   /// Drops `origin` from the view (deploy NACK feedback: its advertised
   /// headroom was wrong, stop composing onto it until fresh news).
   void mark_suspect(sim::NodeIndex origin);
@@ -102,6 +99,8 @@ class Agent {
   std::vector<LoadSummary> build_digest() const;
 
  private:
+  /// Merges a peer's digest (registered per kind at construction).
+  void receive(const GossipDigestMsg& digest);
   void run_round();
   void refresh_self();
 

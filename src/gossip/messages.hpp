@@ -13,7 +13,8 @@
 namespace rasc::gossip {
 
 struct GossipDigestMsg final : sim::Message {
-  const char* kind() const override { return "gossip.digest"; }
+  static constexpr char kKind[] = "gossip.digest";
+  const char* kind() const override { return kKind; }
 
   sim::NodeIndex sender = sim::kInvalidNode;
   std::vector<LoadSummary> entries;

@@ -9,29 +9,30 @@ StatsAgent::StatsAgent(sim::Simulator& simulator, sim::Network& network,
     : simulator_(simulator),
       network_(network),
       node_(node),
-      monitor_(local_monitor) {}
+      monitor_(local_monitor) {
+  network_.on<StatsRequest, StatsReply>(
+      node_, this, [](StatsAgent& self, const auto& m, const sim::Packet&) {
+        self.receive(m);
+      });
+}
 
-bool StatsAgent::handle_packet(const sim::Packet& packet) {
-  const auto* payload = packet.payload.get();
-  if (const auto* req = dynamic_cast<const StatsRequest*>(payload)) {
-    auto reply = std::make_shared<StatsReply>();
-    reply->request_id = req->request_id;
-    reply->stats = monitor_.snapshot();
-    network_.send(node_, req->requester, StatsReply::kBytes,
-                  std::move(reply));
-    return true;
+StatsAgent::~StatsAgent() { network_.remove_handlers(node_, this); }
+
+void StatsAgent::receive(const StatsRequest& req) {
+  auto reply = std::make_shared<StatsReply>();
+  reply->request_id = req.request_id;
+  reply->stats = monitor_.snapshot();
+  network_.send(node_, req.requester, StatsReply::kBytes, std::move(reply));
+}
+
+void StatsAgent::receive(const StatsReply& reply) {
+  const auto it = pending_.find(reply.request_id);
+  if (it != pending_.end()) {
+    simulator_.cancel(it->second.timeout_event);
+    auto cb = std::move(it->second.done);
+    pending_.erase(it);
+    if (cb) cb(true, reply.stats);
   }
-  if (const auto* reply = dynamic_cast<const StatsReply*>(payload)) {
-    const auto it = pending_.find(reply->request_id);
-    if (it != pending_.end()) {
-      simulator_.cancel(it->second.timeout_event);
-      auto cb = std::move(it->second.done);
-      pending_.erase(it);
-      if (cb) cb(true, reply->stats);
-    }
-    return true;
-  }
-  return false;
 }
 
 void StatsAgent::query(sim::NodeIndex target, QueryCallback done) {

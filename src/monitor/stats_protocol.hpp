@@ -20,14 +20,16 @@
 namespace rasc::monitor {
 
 struct StatsRequest final : sim::Message {
-  const char* kind() const override { return "monitor.stats_request"; }
+  static constexpr char kKind[] = "monitor.stats_request";
+  const char* kind() const override { return kKind; }
   std::uint64_t request_id = 0;
   sim::NodeIndex requester = sim::kInvalidNode;
   static constexpr std::int64_t kBytes = 24;
 };
 
 struct StatsReply final : sim::Message {
-  const char* kind() const override { return "monitor.stats_reply"; }
+  static constexpr char kKind[] = "monitor.stats_reply";
+  const char* kind() const override { return kKind; }
   std::uint64_t request_id = 0;
   NodeStats stats;
   static constexpr std::int64_t kBytes = 96;
@@ -42,11 +44,13 @@ class StatsAgent {
 
   static constexpr sim::SimDuration kTimeout = sim::msec(1500);
 
+  /// Registers for StatsRequest and StatsReply packets at `node`.
   StatsAgent(sim::Simulator& simulator, sim::Network& network,
              sim::NodeIndex node, const NodeMonitor& local_monitor);
+  ~StatsAgent();
 
-  /// Handles stats packets; returns false for anything else.
-  bool handle_packet(const sim::Packet& packet);
+  StatsAgent(const StatsAgent&) = delete;
+  StatsAgent& operator=(const StatsAgent&) = delete;
 
   /// Queries one remote node's stats.
   void query(sim::NodeIndex target, QueryCallback done);
@@ -68,6 +72,9 @@ class StatsAgent {
     QueryCallback done;
     sim::EventId timeout_event;
   };
+
+  void receive(const StatsRequest& req);
+  void receive(const StatsReply& reply);
 
   sim::Simulator& simulator_;
   sim::Network& network_;

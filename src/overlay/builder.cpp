@@ -7,10 +7,6 @@
 
 namespace rasc::overlay {
 
-void Overlay::set_fallback(std::size_t i, Fallback fallback) {
-  *fallbacks_.at(i) = std::move(fallback);
-}
-
 Overlay build_overlay(sim::Simulator& simulator, sim::Network& network,
                       std::size_t count) {
   if (count == 0 || count > network.size()) {
@@ -18,19 +14,10 @@ Overlay build_overlay(sim::Simulator& simulator, sim::Network& network,
   }
   Overlay overlay;
   overlay.nodes_.reserve(count);
-  overlay.fallbacks_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto id = NodeId128::hash_of("overlay-node-" + std::to_string(i));
     overlay.nodes_.push_back(std::make_unique<PastryNode>(
         simulator, network, sim::NodeIndex(i), id));
-    overlay.fallbacks_.push_back(std::make_shared<Overlay::Fallback>());
-    PastryNode* node = overlay.nodes_.back().get();
-    auto fallback = overlay.fallbacks_.back();
-    network.set_handler(sim::NodeIndex(i),
-                        [node, fallback](const sim::Packet& packet) {
-                          if (node->handle_packet(packet)) return;
-                          if (*fallback) (*fallback)(packet);
-                        });
   }
 
   overlay.nodes_[0]->bootstrap_as_first();

@@ -6,7 +6,6 @@
 // consistent ring.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,26 +13,18 @@
 
 namespace rasc::overlay {
 
-/// The built overlay: one PastryNode per simulated host, with network
-/// handlers installed that feed overlay packets to the PastryNode and
-/// anything else to a per-node fallback (installed by upper layers).
+/// The built overlay: one PastryNode per simulated host, each registered
+/// for the overlay's packet kinds at its host.
 class Overlay {
  public:
-  using Fallback = std::function<void(const sim::Packet&)>;
-
   PastryNode& at(std::size_t i) { return *nodes_[i]; }
   const PastryNode& at(std::size_t i) const { return *nodes_[i]; }
   std::size_t size() const { return nodes_.size(); }
-
-  /// Installs the handler for non-overlay packets arriving at node `i`
-  /// (stream data units, stats queries, ...).
-  void set_fallback(std::size_t i, Fallback fallback);
 
  private:
   friend Overlay build_overlay(sim::Simulator&, sim::Network&, std::size_t);
 
   std::vector<std::unique_ptr<PastryNode>> nodes_;
-  std::vector<std::shared_ptr<Fallback>> fallbacks_;
 };
 
 /// Builds and joins an overlay of `count` nodes over `network` (which must

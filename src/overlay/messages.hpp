@@ -19,7 +19,8 @@ using RequestId = std::uint64_t;
 /// Envelope for prefix-routed traffic. Forwarded hop by hop toward the
 /// node whose id is numerically closest to `key` (the "root").
 struct RoutedMessage final : sim::Message {
-  const char* kind() const override { return "overlay.routed"; }
+  static constexpr char kKind[] = "overlay.routed";
+  const char* kind() const override { return kKind; }
 
   NodeId128 key;
   PeerRef origin;            // initiating node
@@ -38,7 +39,8 @@ struct RoutedMessage final : sim::Message {
 /// Inner payload of a routed join: announces `joiner` and triggers state
 /// transfer from every node along the route.
 struct JoinRequest final : sim::Message {
-  const char* kind() const override { return "overlay.join_request"; }
+  static constexpr char kKind[] = "overlay.join_request";
+  const char* kind() const override { return kKind; }
   PeerRef joiner;
   static constexpr std::int64_t kBytes = 24;
 };
@@ -46,7 +48,8 @@ struct JoinRequest final : sim::Message {
 /// State transfer to a joining node, sent directly by each node on the
 /// join route. The root also includes its leaf set and sets `from_root`.
 struct JoinStateInfo final : sim::Message {
-  const char* kind() const override { return "overlay.join_state"; }
+  static constexpr char kKind[] = "overlay.join_state";
+  const char* kind() const override { return kKind; }
   PeerRef sender;
   std::vector<PeerRef> routing_entries;
   std::vector<PeerRef> leaf_entries;  // only from the root
@@ -62,7 +65,8 @@ struct JoinStateInfo final : sim::Message {
 /// its leaf set to its leaves so ring neighborhoods converge even when a
 /// join's state transfer was incomplete, and stale entries get refreshed.
 struct LeafSetExchange final : sim::Message {
-  const char* kind() const override { return "overlay.leaf_exchange"; }
+  static constexpr char kKind[] = "overlay.leaf_exchange";
+  const char* kind() const override { return kKind; }
   PeerRef sender;
   std::vector<PeerRef> leaves;
 
@@ -79,13 +83,15 @@ struct LeafSetExchange final : sim::Message {
 /// join seeded the wrong neighborhood still converges to its true ring
 /// position instead of staying invisible to its real neighbors.
 struct NeighborProbe final : sim::Message {
-  const char* kind() const override { return "overlay.neighbor_probe"; }
+  static constexpr char kKind[] = "overlay.neighbor_probe";
+  const char* kind() const override { return kKind; }
   static constexpr std::int64_t kBytes = 8;
 };
 
 /// A node announcing itself to a peer it learned about while joining.
 struct Announce final : sim::Message {
-  const char* kind() const override { return "overlay.announce"; }
+  static constexpr char kKind[] = "overlay.announce";
+  const char* kind() const override { return kKind; }
   PeerRef who;
   static constexpr std::int64_t kBytes = 24;
 };
@@ -93,7 +99,8 @@ struct Announce final : sim::Message {
 /// DHT write (routed). `append` selects append-to-list vs replace
 /// semantics; the service registry appends provider addresses.
 struct DhtPut final : sim::Message {
-  const char* kind() const override { return "overlay.dht_put"; }
+  static constexpr char kKind[] = "overlay.dht_put";
+  const char* kind() const override { return kKind; }
   NodeId128 key;
   std::string value;
   bool append = true;
@@ -105,7 +112,8 @@ struct DhtPut final : sim::Message {
 
 /// Replication of stored values to leaf-set neighbours (fire and forget).
 struct DhtReplicate final : sim::Message {
-  const char* kind() const override { return "overlay.dht_replicate"; }
+  static constexpr char kKind[] = "overlay.dht_replicate";
+  const char* kind() const override { return kKind; }
   NodeId128 key;
   std::vector<std::string> values;
 
@@ -118,14 +126,16 @@ struct DhtReplicate final : sim::Message {
 
 /// Acknowledgement of a DhtPut, sent directly to the requester.
 struct DhtAck final : sim::Message {
-  const char* kind() const override { return "overlay.dht_ack"; }
+  static constexpr char kKind[] = "overlay.dht_ack";
+  const char* kind() const override { return kKind; }
   RequestId request_id = 0;
   static constexpr std::int64_t kBytes = 16;
 };
 
 /// DHT read (routed).
 struct DhtGet final : sim::Message {
-  const char* kind() const override { return "overlay.dht_get"; }
+  static constexpr char kKind[] = "overlay.dht_get";
+  const char* kind() const override { return kKind; }
   NodeId128 key;
   RequestId request_id = 0;
   PeerRef requester;
@@ -134,7 +144,8 @@ struct DhtGet final : sim::Message {
 
 /// Reply to a DhtGet, sent directly to the requester.
 struct DhtGetReply final : sim::Message {
-  const char* kind() const override { return "overlay.dht_get_reply"; }
+  static constexpr char kKind[] = "overlay.dht_get_reply";
+  const char* kind() const override { return kKind; }
   RequestId request_id = 0;
   bool found = false;
   std::vector<std::string> values;

@@ -15,9 +15,16 @@ PastryNode::PastryNode(sim::Simulator& simulator, sim::Network& network,
       addr_(addr),
       id_(id),
       leaves_(id),
-      table_(id) {}
+      table_(id) {
+  network_.on<RoutedMessage, JoinStateInfo, Announce, LeafSetExchange,
+              DhtAck, DhtGetReply, DhtReplicate>(
+      addr_, this, [](PastryNode& self, const auto& m, const sim::Packet&) {
+        self.receive(m);
+      });
+}
 
 PastryNode::~PastryNode() {
+  network_.remove_handlers(addr_, this);
   simulator_.cancel(maintenance_event_);
   simulator_.cancel(join_timeout_event_);
 }
@@ -167,7 +174,7 @@ void PastryNode::forward(const RoutedMessage& m) {
 
 void PastryNode::handle_routed(const RoutedMessage& m) {
   // A routed join triggers state transfer from every node on the path.
-  if (const auto* join = dynamic_cast<const JoinRequest*>(m.inner.get())) {
+  if (const auto* join = sim::message_as<JoinRequest>(m.inner.get())) {
     const PeerRef next = next_hop(m.key);
     const bool is_root = (next.addr == addr_);
     send_join_state(join->joiner, is_root);
@@ -180,7 +187,7 @@ void PastryNode::handle_routed(const RoutedMessage& m) {
 
 void PastryNode::deliver_at_root(const RoutedMessage& m) {
   const auto& inner = m.inner;
-  if (dynamic_cast<const NeighborProbe*>(inner.get()) != nullptr) {
+  if (sim::message_as<NeighborProbe>(inner.get()) != nullptr) {
     if (m.origin.addr != addr_) {
       learn(m.origin);
       auto reply = std::make_shared<LeafSetExchange>();
@@ -191,7 +198,7 @@ void PastryNode::deliver_at_root(const RoutedMessage& m) {
     }
     return;
   }
-  if (const auto* put = dynamic_cast<const DhtPut*>(inner.get())) {
+  if (const auto* put = sim::message_as<DhtPut>(inner.get())) {
     auto& values = store_[put->key];
     if (!put->append) values.clear();
     if (std::find(values.begin(), values.end(), put->value) ==
@@ -204,7 +211,7 @@ void PastryNode::deliver_at_root(const RoutedMessage& m) {
     send_direct(put->requester.addr, DhtAck::kBytes, std::move(ack));
     return;
   }
-  if (const auto* get = dynamic_cast<const DhtGet*>(inner.get())) {
+  if (const auto* get = sim::message_as<DhtGet>(inner.get())) {
     auto reply = std::make_shared<DhtGetReply>();
     reply->request_id = get->request_id;
     const auto it = store_.find(get->key);
@@ -315,75 +322,68 @@ void PastryNode::dht_get(const NodeId128& key, GetCallback done) {
   route(key, std::move(get), DhtGet::kBytes);
 }
 
-bool PastryNode::handle_packet(const sim::Packet& packet) {
-  const auto& payload = packet.payload;
-  if (const auto* routed = dynamic_cast<const RoutedMessage*>(payload.get())) {
-    learn(routed->origin);
-    handle_routed(*routed);
-    return true;
-  }
-  if (const auto* info = dynamic_cast<const JoinStateInfo*>(payload.get())) {
-    learn(info->sender);
-    for (const PeerRef& p : info->routing_entries) learn(p);
-    for (const PeerRef& p : info->leaf_entries) learn(p);
-    if (info->from_root && !ready_) {
-      ready_ = true;
-      simulator_.cancel(join_timeout_event_);
-      start_maintenance();
-      // Announce ourselves to everyone we learned about so their state
-      // includes us.
-      auto ann = std::make_shared<Announce>();
-      ann->who = self();
-      for (const PeerRef& p : known_peers()) {
-        send_direct(p.addr, Announce::kBytes, ann);
-      }
-      if (join_done_) {
-        auto cb = std::move(join_done_);
-        join_done_ = nullptr;
-        cb(true);
-      }
+void PastryNode::receive(const RoutedMessage& m) {
+  learn(m.origin);
+  handle_routed(m);
+}
+
+void PastryNode::receive(const JoinStateInfo& info) {
+  learn(info.sender);
+  for (const PeerRef& p : info.routing_entries) learn(p);
+  for (const PeerRef& p : info.leaf_entries) learn(p);
+  if (info.from_root && !ready_) {
+    ready_ = true;
+    simulator_.cancel(join_timeout_event_);
+    start_maintenance();
+    // Announce ourselves to everyone we learned about so their state
+    // includes us.
+    auto ann = std::make_shared<Announce>();
+    ann->who = self();
+    for (const PeerRef& p : known_peers()) {
+      send_direct(p.addr, Announce::kBytes, ann);
     }
-    return true;
-  }
-  if (const auto* ann = dynamic_cast<const Announce*>(payload.get())) {
-    learn(ann->who);
-    return true;
-  }
-  if (const auto* lx = dynamic_cast<const LeafSetExchange*>(payload.get())) {
-    learn(lx->sender);
-    for (const PeerRef& p : lx->leaves) learn(p);
-    return true;
-  }
-  if (const auto* ack = dynamic_cast<const DhtAck*>(payload.get())) {
-    const auto it = pending_puts_.find(ack->request_id);
-    if (it != pending_puts_.end()) {
-      simulator_.cancel(it->second.timeout_event);
-      auto cb = std::move(it->second.done);
-      pending_puts_.erase(it);
-      if (cb) cb(true);
+    if (join_done_) {
+      auto cb = std::move(join_done_);
+      join_done_ = nullptr;
+      cb(true);
     }
-    return true;
   }
-  if (const auto* reply = dynamic_cast<const DhtGetReply*>(payload.get())) {
-    const auto it = pending_gets_.find(reply->request_id);
-    if (it != pending_gets_.end()) {
-      simulator_.cancel(it->second.timeout_event);
-      auto cb = std::move(it->second.done);
-      pending_gets_.erase(it);
-      if (cb) cb(reply->found, reply->values);
+}
+
+void PastryNode::receive(const Announce& ann) { learn(ann.who); }
+
+void PastryNode::receive(const LeafSetExchange& lx) {
+  learn(lx.sender);
+  for (const PeerRef& p : lx.leaves) learn(p);
+}
+
+void PastryNode::receive(const DhtAck& ack) {
+  const auto it = pending_puts_.find(ack.request_id);
+  if (it != pending_puts_.end()) {
+    simulator_.cancel(it->second.timeout_event);
+    auto cb = std::move(it->second.done);
+    pending_puts_.erase(it);
+    if (cb) cb(true);
+  }
+}
+
+void PastryNode::receive(const DhtGetReply& reply) {
+  const auto it = pending_gets_.find(reply.request_id);
+  if (it != pending_gets_.end()) {
+    simulator_.cancel(it->second.timeout_event);
+    auto cb = std::move(it->second.done);
+    pending_gets_.erase(it);
+    if (cb) cb(reply.found, reply.values);
+  }
+}
+
+void PastryNode::receive(const DhtReplicate& repl) {
+  auto& values = store_[repl.key];
+  for (const auto& v : repl.values) {
+    if (std::find(values.begin(), values.end(), v) == values.end()) {
+      values.push_back(v);
     }
-    return true;
   }
-  if (const auto* repl = dynamic_cast<const DhtReplicate*>(payload.get())) {
-    auto& values = store_[repl->key];
-    for (const auto& v : repl->values) {
-      if (std::find(values.begin(), values.end(), v) == values.end()) {
-        values.push_back(v);
-      }
-    }
-    return true;
-  }
-  return false;
 }
 
 void PastryNode::purge_peer(sim::NodeIndex peer_addr) {

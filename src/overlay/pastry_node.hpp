@@ -1,10 +1,10 @@
 // A Pastry overlay node: prefix routing, join protocol, and a replicated
 // DHT used by RASC for component discovery (paper §3.3).
 //
-// One PastryNode lives on each simulated host. It consumes overlay packets
-// (handle_packet returns true) and leaves everything else to upper layers
-// (resource monitor, stream runtime), which share the host's network
-// handler via exp::Host.
+// One PastryNode lives on each simulated host. It registers the overlay's
+// packet kinds in the host's row of the network dispatch table; the upper
+// layers on the host (resource monitor, stream runtime, ...) register
+// theirs, so each packet reaches its consumer without a type probe.
 #pragma once
 
 #include <functional>
@@ -83,10 +83,6 @@ class PastryNode {
     return store_;
   }
 
-  /// Processes an incoming packet if it is overlay traffic.
-  /// Returns false (untouched) for non-overlay payloads.
-  bool handle_packet(const sim::Packet& packet);
-
   /// Forgets a failed peer everywhere (leaf set + routing table). Invoked
   /// by upper layers when a peer stops responding.
   void purge_peer(sim::NodeIndex peer_addr);
@@ -100,6 +96,15 @@ class PastryNode {
   PeerRef next_hop(const NodeId128& key) const;
 
  private:
+  // Overlay packets, one overload per kind registered on the network.
+  void receive(const RoutedMessage& m);
+  void receive(const JoinStateInfo& info);
+  void receive(const Announce& ann);
+  void receive(const LeafSetExchange& lx);
+  void receive(const DhtAck& ack);
+  void receive(const DhtGetReply& reply);
+  void receive(const DhtReplicate& repl);
+
   void start_maintenance();
   void run_maintenance();
   void send_neighbor_probe();

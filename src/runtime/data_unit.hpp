@@ -12,7 +12,8 @@ namespace rasc::runtime {
 using AppId = std::int64_t;
 
 struct DataUnit final : sim::Message {
-  const char* kind() const override { return "runtime.data_unit"; }
+  static constexpr char kKind[] = "runtime.data_unit";
+  const char* kind() const override { return kKind; }
   std::optional<obs::UnitId> unit_id() const override {
     return obs::UnitId{app, substream, seq};
   }

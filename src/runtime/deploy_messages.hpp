@@ -40,7 +40,8 @@
 namespace rasc::runtime {
 
 struct DeployComponentMsg final : sim::Message {
-  const char* kind() const override { return "runtime.deploy_component"; }
+  static constexpr char kKind[] = "runtime.deploy_component";
+  const char* kind() const override { return kKind; }
   ComponentKey key;
   std::string service;
   double rate_units_per_sec = 0;   // allocation for this instance
@@ -63,7 +64,8 @@ struct DeployComponentMsg final : sim::Message {
 };
 
 struct DeploySinkMsg final : sim::Message {
-  const char* kind() const override { return "runtime.deploy_sink"; }
+  static constexpr char kKind[] = "runtime.deploy_sink";
+  const char* kind() const override { return kKind; }
   AppId app = 0;
   std::int32_t substream = 0;
   double rate_units_per_sec = 0;
@@ -79,7 +81,8 @@ struct DeploySinkMsg final : sim::Message {
 };
 
 struct DeploySourceMsg final : sim::Message {
-  const char* kind() const override { return "runtime.deploy_source"; }
+  static constexpr char kKind[] = "runtime.deploy_source";
+  const char* kind() const override { return kKind; }
   AppId app = 0;
   std::int32_t substream = 0;
   double rate_units_per_sec = 0;
@@ -98,7 +101,8 @@ struct DeploySourceMsg final : sim::Message {
 };
 
 struct DeployAck final : sim::Message {
-  const char* kind() const override { return "runtime.deploy_ack"; }
+  static constexpr char kKind[] = "runtime.deploy_ack";
+  const char* kind() const override { return kKind; }
   std::uint64_t request_id = 0;
   bool ok = false;
   static constexpr std::int64_t kBytes = 16;
@@ -116,7 +120,8 @@ struct DeployAck final : sim::Message {
 /// Re-rates an existing component in place and rewrites its downstream
 /// split. No-op if the component is not deployed on the receiving node.
 struct UpdateComponentMsg final : sim::Message {
-  const char* kind() const override { return "runtime.update_component"; }
+  static constexpr char kKind[] = "runtime.update_component";
+  const char* kind() const override { return kKind; }
   ComponentKey key;
   double rate_units_per_sec = 0;   // new allocation for this instance
   std::int64_t in_unit_bytes = 0;  // input unit size (re-reservation)
@@ -130,7 +135,8 @@ struct UpdateComponentMsg final : sim::Message {
 /// Deploys one additional instance of an already-running stage (same
 /// payload as DeployComponentMsg minus the ack round-trip).
 struct AddPlacementMsg final : sim::Message {
-  const char* kind() const override { return "runtime.add_placement"; }
+  static constexpr char kKind[] = "runtime.add_placement";
+  const char* kind() const override { return kKind; }
   ComponentKey key;
   std::string service;
   double rate_units_per_sec = 0;
@@ -146,7 +152,8 @@ struct AddPlacementMsg final : sim::Message {
 /// receiving node), releasing its reservations. Unlike TeardownAppMsg the
 /// rest of the application keeps running.
 struct RemovePlacementMsg final : sim::Message {
-  const char* kind() const override { return "runtime.remove_placement"; }
+  static constexpr char kKind[] = "runtime.remove_placement";
+  const char* kind() const override { return kKind; }
   ComponentKey key;
   static constexpr std::int64_t kBytes = 24;
 };
@@ -154,7 +161,8 @@ struct RemovePlacementMsg final : sim::Message {
 /// Rewrites a running source's stage-0 split (and emission rate) after
 /// the adapter re-balanced the first stage.
 struct UpdateSourceSplitMsg final : sim::Message {
-  const char* kind() const override { return "runtime.update_source_split"; }
+  static constexpr char kKind[] = "runtime.update_source_split";
+  const char* kind() const override { return kKind; }
   AppId app = 0;
   std::int32_t substream = 0;
   double rate_units_per_sec = 0;  // new stage-0 *input* ups
@@ -168,7 +176,8 @@ struct UpdateSourceSplitMsg final : sim::Message {
 /// Tears down every component/sink/source of an application on the
 /// receiving node (failure recovery and re-composition).
 struct TeardownAppMsg final : sim::Message {
-  const char* kind() const override { return "runtime.teardown_app"; }
+  static constexpr char kKind[] = "runtime.teardown_app";
+  const char* kind() const override { return kKind; }
   AppId app = 0;
   /// 0 = unconditional teardown (supervisor recovery, legacy senders).
   /// Nonzero = rollback of exactly this deployment attempt: the receiver
@@ -182,7 +191,8 @@ struct TeardownAppMsg final : sim::Message {
 /// Queries the destination node for an application's delivery progress
 /// (used by the supervisor's liveness checks).
 struct SinkHealthRequest final : sim::Message {
-  const char* kind() const override { return "runtime.sink_health_req"; }
+  static constexpr char kKind[] = "runtime.sink_health_req";
+  const char* kind() const override { return kKind; }
   AppId app = 0;
   std::uint64_t request_id = 0;
   sim::NodeIndex requester = sim::kInvalidNode;
@@ -190,7 +200,8 @@ struct SinkHealthRequest final : sim::Message {
 };
 
 struct SinkHealthReply final : sim::Message {
-  const char* kind() const override { return "runtime.sink_health_reply"; }
+  static constexpr char kKind[] = "runtime.sink_health_reply";
+  const char* kind() const override { return kKind; }
   AppId app = 0;
   std::uint64_t request_id = 0;
   /// Units delivered so far across the app's substreams at this node;

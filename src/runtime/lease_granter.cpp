@@ -39,9 +39,16 @@ LeaseGranter::LeaseGranter(sim::Simulator& simulator, sim::Network& network,
   nacks_epoch_ = &r->counter("lease.nacks_epoch", labels);
   nacks_overdraw_ = &r->counter("lease.nacks_overdraw", labels);
   overgrant_gauge_ = &r->gauge("lease.overgrant_kbps", labels);
+  network_.on<LeaseRequestMsg>(
+      node_, this,
+      [](LeaseGranter& self, const LeaseRequestMsg& req, const sim::Packet&) {
+        self.grant(req.shard, req.requester, req.request_id,
+                   req.demand_kbps, req.takeover_epoch);
+      });
 }
 
 LeaseGranter::~LeaseGranter() {
+  network_.remove_handlers(node_, this);
   for (auto& [shard, g] : grants_) {
     (void)shard;
     if (g.expiry != 0) simulator_.cancel(g.expiry);
@@ -63,15 +70,6 @@ void LeaseGranter::pool_kbps(double& in_kbps, double& out_kbps) const {
       std::max(0.0, params_.headroom * s.capacity_in_kbps - used_in);
   out_kbps =
       std::max(0.0, params_.headroom * s.capacity_out_kbps - used_out);
-}
-
-bool LeaseGranter::handle_packet(const sim::Packet& packet) {
-  const auto* req =
-      dynamic_cast<const LeaseRequestMsg*>(packet.payload.get());
-  if (req == nullptr) return false;
-  grant(req->shard, req->requester, req->request_id, req->demand_kbps,
-        req->takeover_epoch);
-  return true;
 }
 
 double LeaseGranter::target_share(std::int32_t shard, double pool,

@@ -58,6 +58,7 @@ class LeaseGranter {
 
   /// `registry` is the deployment-wide metric registry; the granter owns
   /// a private one when null. Emits under lease.* with this node's label.
+  /// Registers for LeaseRequestMsg packets at `node`.
   LeaseGranter(sim::Simulator& simulator, sim::Network& network,
                sim::NodeIndex node, const monitor::NodeMonitor& monitor,
                Params params, obs::MetricRegistry* registry = nullptr);
@@ -65,9 +66,6 @@ class LeaseGranter {
 
   LeaseGranter(const LeaseGranter&) = delete;
   LeaseGranter& operator=(const LeaseGranter&) = delete;
-
-  /// Consumes LeaseRequestMsg packets; false for anything else.
-  bool handle_packet(const sim::Packet& packet);
 
   /// Spends `in/out` kbps of shard `shard`'s grant for one deploy message
   /// of `app`. False (NACK the deploy) when the epoch is not current, the

@@ -31,7 +31,8 @@
 namespace rasc::runtime {
 
 struct LeaseRequestMsg final : sim::Message {
-  const char* kind() const override { return "runtime.lease_request"; }
+  static constexpr char kKind[] = "runtime.lease_request";
+  const char* kind() const override { return kKind; }
   std::int32_t shard = -1;
   /// Shard home node the grant (and any revoke) must be sent to.
   sim::NodeIndex requester = sim::kInvalidNode;
@@ -53,7 +54,8 @@ struct LeaseRequestMsg final : sim::Message {
 };
 
 struct LeaseGrantMsg final : sim::Message {
-  const char* kind() const override { return "runtime.lease_grant"; }
+  static constexpr char kKind[] = "runtime.lease_grant";
+  const char* kind() const override { return kKind; }
   std::int32_t shard = -1;
   sim::NodeIndex node = sim::kInvalidNode;
   std::uint64_t request_id = 0;
@@ -69,7 +71,8 @@ struct LeaseGrantMsg final : sim::Message {
 };
 
 struct LeaseRevokeMsg final : sim::Message {
-  const char* kind() const override { return "runtime.lease_revoke"; }
+  static constexpr char kKind[] = "runtime.lease_revoke";
+  const char* kind() const override { return kKind; }
   std::int32_t shard = -1;
   sim::NodeIndex node = sim::kInvalidNode;
   std::uint64_t lease_epoch = 0;

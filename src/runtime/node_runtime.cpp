@@ -45,9 +45,23 @@ NodeRuntime::NodeRuntime(sim::Simulator& simulator, sim::Network& network,
   units_unroutable_ =
       &registry_->counter("runtime.units_unroutable", labels);
   if (params_.orphan_lease > 0) schedule_reap();
+  network_.on<DataUnit>(
+      node_, this,
+      [](NodeRuntime& self, const DataUnit&, const sim::Packet& packet) {
+        self.on_data_unit(
+            std::static_pointer_cast<const DataUnit>(packet.payload));
+      });
+  network_.on<DeployComponentMsg, DeploySinkMsg, DeploySourceMsg,
+              UpdateComponentMsg, AddPlacementMsg, RemovePlacementMsg,
+              UpdateSourceSplitMsg, TeardownAppMsg, ShardRecoverRequestMsg,
+              SinkHealthRequest>(
+      node_, this, [](NodeRuntime& self, const auto& m, const sim::Packet&) {
+        self.receive(m);
+      });
 }
 
 NodeRuntime::~NodeRuntime() {
+  network_.remove_handlers(node_, this);
   if (reap_event_ != 0) simulator_.cancel(reap_event_);
 }
 
@@ -90,154 +104,131 @@ std::vector<std::uint64_t> NodeRuntime::sorted_endpoint_keys() const {
   return keys;
 }
 
-bool NodeRuntime::handle_packet(const sim::Packet& packet) {
-  const auto& payload = packet.payload;
-  if (auto unit = std::dynamic_pointer_cast<const DataUnit>(payload)) {
-    on_data_unit(unit);
-    return true;
+void NodeRuntime::receive(const DeployComponentMsg& dc) {
+  if (!admit_deploy(dc.key.app, dc.epoch, dc.requester, dc.request_id)) {
+    return;
   }
-  if (const auto* dc =
-          dynamic_cast<const DeployComponentMsg*>(payload.get())) {
-    if (!admit_deploy(dc->key.app, dc->epoch, dc->requester,
-                      dc->request_id)) {
-      return true;
-    }
-    bool ok = true;
-    try {
-      // Lease-stamped deploys spend the sending shard's grant first; the
-      // debit amounts mirror exactly what deploy_component will reserve.
-      if (dc->shard >= 0 && granter_ != nullptr) {
-        const ServiceSpec& spec = catalog_.get(dc->service);
-        const std::int64_t out_unit_bytes = std::int64_t(
-            double(dc->in_unit_bytes) * spec.output_size_factor + 0.5);
-        const double in_kbps =
-            reservation_kbps(dc->rate_units_per_sec, dc->in_unit_bytes);
-        const double out_kbps = reservation_kbps(
-            dc->rate_units_per_sec * spec.rate_ratio, out_unit_bytes);
-        ok = granter_->debit(dc->shard, dc->lease_epoch, dc->key.app,
-                             in_kbps, out_kbps);
-      }
-      if (ok) {
-        deploy_component(dc->key, dc->service, dc->rate_units_per_sec,
-                         dc->in_unit_bytes, dc->next);
-      }
-    } catch (const std::exception& e) {
-      RASC_LOG(kWarn) << "node " << node_
-                      << ": component deploy failed: " << e.what();
-      ok = false;
-    }
-    seen_requests_[{dc->requester, dc->request_id}] = ok;
-    send_ack(dc->requester, dc->request_id, ok);
-    return true;
-  }
-  if (const auto* ds = dynamic_cast<const DeploySinkMsg*>(payload.get())) {
-    if (!admit_deploy(ds->app, ds->epoch, ds->requester, ds->request_id)) {
-      return true;
-    }
-    bool ok = true;
-    if (ds->shard >= 0 && granter_ != nullptr) {
+  bool ok = true;
+  try {
+    // Lease-stamped deploys spend the sending shard's grant first; the
+    // debit amounts mirror exactly what deploy_component will reserve.
+    if (dc.shard >= 0 && granter_ != nullptr) {
+      const ServiceSpec& spec = catalog_.get(dc.service);
+      const std::int64_t out_unit_bytes = std::int64_t(
+          double(dc.in_unit_bytes) * spec.output_size_factor + 0.5);
       const double in_kbps =
-          reservation_kbps(ds->rate_units_per_sec, ds->unit_bytes);
-      ok = granter_->debit(ds->shard, ds->lease_epoch, ds->app, in_kbps,
-                           0.0);
+          reservation_kbps(dc.rate_units_per_sec, dc.in_unit_bytes);
+      const double out_kbps = reservation_kbps(
+          dc.rate_units_per_sec * spec.rate_ratio, out_unit_bytes);
+      ok = granter_->debit(dc.shard, dc.lease_epoch, dc.key.app,
+                           in_kbps, out_kbps);
     }
     if (ok) {
-      deploy_sink(ds->app, ds->substream, ds->rate_units_per_sec,
-                  ds->unit_bytes);
+      deploy_component(dc.key, dc.service, dc.rate_units_per_sec,
+                       dc.in_unit_bytes, dc.next);
     }
-    seen_requests_[{ds->requester, ds->request_id}] = ok;
-    send_ack(ds->requester, ds->request_id, ok);
-    return true;
+  } catch (const std::exception& e) {
+    RASC_LOG(kWarn) << "node " << node_
+                    << ": component deploy failed: " << e.what();
+    ok = false;
   }
-  if (const auto* src =
-          dynamic_cast<const DeploySourceMsg*>(payload.get())) {
-    if (!admit_deploy(src->app, src->epoch, src->requester,
-                      src->request_id)) {
-      return true;
+  seen_requests_[{dc.requester, dc.request_id}] = ok;
+  send_ack(dc.requester, dc.request_id, ok);
+}
+
+void NodeRuntime::receive(const DeploySinkMsg& ds) {
+  if (!admit_deploy(ds.app, ds.epoch, ds.requester, ds.request_id)) {
+    return;
+  }
+  bool ok = true;
+  if (ds.shard >= 0 && granter_ != nullptr) {
+    const double in_kbps =
+        reservation_kbps(ds.rate_units_per_sec, ds.unit_bytes);
+    ok = granter_->debit(ds.shard, ds.lease_epoch, ds.app, in_kbps, 0.0);
+  }
+  if (ok) {
+    deploy_sink(ds.app, ds.substream, ds.rate_units_per_sec,
+                ds.unit_bytes);
+  }
+  seen_requests_[{ds.requester, ds.request_id}] = ok;
+  send_ack(ds.requester, ds.request_id, ok);
+}
+
+void NodeRuntime::receive(const DeploySourceMsg& src) {
+  if (!admit_deploy(src.app, src.epoch, src.requester, src.request_id)) {
+    return;
+  }
+  deploy_source(src.app, src.substream, src.rate_units_per_sec,
+                src.unit_bytes, src.first_stage, src.start_at,
+                src.stop_at);
+  seen_requests_[{src.requester, src.request_id}] = true;
+  send_ack(src.requester, src.request_id, true);
+}
+
+void NodeRuntime::receive(const UpdateComponentMsg& uc) {
+  update_component(uc.key, uc.rate_units_per_sec, uc.in_unit_bytes,
+                   uc.next);
+}
+
+void NodeRuntime::receive(const AddPlacementMsg& ap) {
+  // Fire-and-forget variant of DeployComponentMsg: a failed add leaves
+  // the app on its previous split, which the next round repairs.
+  try {
+    deploy_component(ap.key, ap.service, ap.rate_units_per_sec,
+                     ap.in_unit_bytes, ap.next);
+  } catch (const std::exception& e) {
+    RASC_LOG(kWarn) << "node " << node_
+                    << ": add-placement failed: " << e.what();
+  }
+}
+
+void NodeRuntime::receive(const RemovePlacementMsg& rp) {
+  remove_component(rp.key);
+}
+
+void NodeRuntime::receive(const UpdateSourceSplitMsg& us) {
+  update_source_split(us.app, us.substream, us.rate_units_per_sec,
+                      us.first_stage);
+}
+
+void NodeRuntime::receive(const TeardownAppMsg& td) {
+  if (td.epoch > 0) {
+    AppControl& ctl = app_control_[td.app];
+    if (td.epoch < ctl.epoch) {
+      // A reordered rollback of an older attempt must not kill the
+      // newer one.
+      lazy_counter("deploy.stale_epoch", stale_epoch_).add();
+      return;
     }
-    deploy_source(src->app, src->substream, src->rate_units_per_sec,
-                  src->unit_bytes, src->first_stage, src->start_at,
-                  src->stop_at);
-    seen_requests_[{src->requester, src->request_id}] = true;
-    send_ack(src->requester, src->request_id, true);
-    return true;
+    ctl.epoch = td.epoch;
+    ctl.retired = true;
   }
-  if (const auto* uc =
-          dynamic_cast<const UpdateComponentMsg*>(payload.get())) {
-    update_component(uc->key, uc->rate_units_per_sec, uc->in_unit_bytes,
-                     uc->next);
-    return true;
-  }
-  if (const auto* ap = dynamic_cast<const AddPlacementMsg*>(payload.get())) {
-    // Fire-and-forget variant of DeployComponentMsg: a failed add leaves
-    // the app on its previous split, which the next round repairs.
-    try {
-      deploy_component(ap->key, ap->service, ap->rate_units_per_sec,
-                       ap->in_unit_bytes, ap->next);
-    } catch (const std::exception& e) {
-      RASC_LOG(kWarn) << "node " << node_
-                      << ": add-placement failed: " << e.what();
+  teardown_app(td.app);
+}
+
+void NodeRuntime::receive(const SinkHealthRequest& hq) {
+  if (params_.orphan_lease > 0) {
+    // A live supervisor is watching this app: its probes renew the
+    // lease, so only truly unsupervised partial deploys get reaped.
+    if (const auto ctl = app_control_.find(hq.app);
+        ctl != app_control_.end()) {
+      ctl->second.lease_renewed = simulator_.now();
     }
-    return true;
   }
-  if (const auto* rp =
-          dynamic_cast<const RemovePlacementMsg*>(payload.get())) {
-    remove_component(rp->key);
-    return true;
+  auto reply = std::make_shared<SinkHealthReply>();
+  reply->app = hq.app;
+  reply->request_id = hq.request_id;
+  std::int64_t delivered = -1;
+  for (const std::uint64_t key : sorted_endpoint_keys()) {
+    if (AppId(key >> 32) != hq.app) continue;
+    const auto& endpoint = endpoints_.at(key);
+    if (!endpoint.sink.has_value()) continue;
+    if (delivered < 0) delivered = 0;
+    delivered += endpoint.sink->delivered();
   }
-  if (const auto* us =
-          dynamic_cast<const UpdateSourceSplitMsg*>(payload.get())) {
-    update_source_split(us->app, us->substream, us->rate_units_per_sec,
-                        us->first_stage);
-    return true;
-  }
-  if (const auto* td = dynamic_cast<const TeardownAppMsg*>(payload.get())) {
-    if (td->epoch > 0) {
-      AppControl& ctl = app_control_[td->app];
-      if (td->epoch < ctl.epoch) {
-        // A reordered rollback of an older attempt must not kill the
-        // newer one.
-        lazy_counter("deploy.stale_epoch", stale_epoch_).add();
-        return true;
-      }
-      ctl.epoch = td->epoch;
-      ctl.retired = true;
-    }
-    teardown_app(td->app);
-    return true;
-  }
-  if (const auto* rr =
-          dynamic_cast<const ShardRecoverRequestMsg*>(payload.get())) {
-    handle_recover_request(*rr);
-    return true;
-  }
-  if (const auto* hq =
-          dynamic_cast<const SinkHealthRequest*>(payload.get())) {
-    if (params_.orphan_lease > 0) {
-      // A live supervisor is watching this app: its probes renew the
-      // lease, so only truly unsupervised partial deploys get reaped.
-      if (const auto ctl = app_control_.find(hq->app);
-          ctl != app_control_.end()) {
-        ctl->second.lease_renewed = simulator_.now();
-      }
-    }
-    auto reply = std::make_shared<SinkHealthReply>();
-    reply->app = hq->app;
-    reply->request_id = hq->request_id;
-    std::int64_t delivered = -1;
-    for (const std::uint64_t key : sorted_endpoint_keys()) {
-      if (AppId(key >> 32) != hq->app) continue;
-      const auto& endpoint = endpoints_.at(key);
-      if (!endpoint.sink.has_value()) continue;
-      if (delivered < 0) delivered = 0;
-      delivered += endpoint.sink->delivered();
-    }
-    reply->delivered = delivered;
-    network_.send(node_, hq->requester, SinkHealthReply::kBytes,
-                  std::move(reply));
-    return true;
-  }
-  return false;
+  reply->delivered = delivered;
+  network_.send(node_, hq.requester, SinkHealthReply::kBytes,
+                std::move(reply));
 }
 
 void NodeRuntime::send_ack(sim::NodeIndex to, std::uint64_t request_id,
@@ -714,7 +705,7 @@ void NodeRuntime::finish_unit(ScheduledUnit scheduled,
   maybe_dispatch();
 }
 
-void NodeRuntime::handle_recover_request(const ShardRecoverRequestMsg& req) {
+void NodeRuntime::receive(const ShardRecoverRequestMsg& req) {
   auto reply = std::make_shared<ShardRecoverReplyMsg>();
   reply->shard = req.shard;
   reply->node = node_;

@@ -75,13 +75,6 @@ class NodeRuntime {
   /// (the default) keeps the legacy lease-free behavior byte-identical.
   void set_lease_granter(LeaseGranter* granter) { granter_ = granter; }
 
-  /// Handles data units and deployment messages; false for anything else.
-  /// Deploy messages are exactly-once-effective: duplicates (same
-  /// requester and request id) re-ack the recorded verdict without
-  /// re-applying, and messages from a stale or rolled-back epoch are
-  /// dropped (see deploy_messages.hpp).
-  bool handle_packet(const sim::Packet& packet);
-
   // --- Local deployment API (the message handlers call these; tests and
   // oracle-mode experiments may call them directly) ---
 
@@ -196,7 +189,23 @@ class NodeRuntime {
     sim::SimTime lease_renewed = 0;
   };
 
+  // Packet handlers, registered per kind at construction. Deploy messages
+  // are exactly-once-effective: duplicates (same requester and request
+  // id) re-ack the recorded verdict without re-applying, and messages
+  // from a stale or rolled-back epoch are dropped (deploy_messages.hpp).
   void on_data_unit(const std::shared_ptr<const DataUnit>& unit);
+  void receive(const DeployComponentMsg& dc);
+  void receive(const DeploySinkMsg& ds);
+  void receive(const DeploySourceMsg& src);
+  void receive(const UpdateComponentMsg& uc);
+  void receive(const AddPlacementMsg& ap);
+  void receive(const RemovePlacementMsg& rp);
+  void receive(const UpdateSourceSplitMsg& us);
+  void receive(const TeardownAppMsg& td);
+  void receive(const SinkHealthRequest& hq);
+  /// Answers a standby's shard-state reconstruction query with this
+  /// node's ledger slice and full runtime state (sorted, deterministic).
+  void receive(const ShardRecoverRequestMsg& req);
   void maybe_dispatch();
   void finish_unit(ScheduledUnit scheduled, sim::SimDuration actual);
   void send_ack(sim::NodeIndex to, std::uint64_t request_id, bool ok);
@@ -209,9 +218,6 @@ class NodeRuntime {
                     std::uint64_t request_id);
   void schedule_reap();
   void reap_orphans();
-  /// Answers a standby's shard-state reconstruction query with this
-  /// node's ledger slice and full runtime state (sorted, deterministic).
-  void handle_recover_request(const ShardRecoverRequestMsg& req);
   /// Lazily-created deploy.*/orphan.* cells: a run that never needs them
   /// leaves the registry snapshot byte-identical to older builds.
   obs::Counter& lazy_counter(const char* name, obs::Counter*& slot);

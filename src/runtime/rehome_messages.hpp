@@ -34,7 +34,8 @@
 namespace rasc::runtime {
 
 struct ShardRecoverRequestMsg final : sim::Message {
-  const char* kind() const override { return "runtime.shard_recover_request"; }
+  static constexpr char kKind[] = "runtime.shard_recover_request";
+  const char* kind() const override { return kKind; }
   std::int32_t shard = -1;
   /// Standby home node the reply must be sent to.
   sim::NodeIndex requester = sim::kInvalidNode;
@@ -43,7 +44,8 @@ struct ShardRecoverRequestMsg final : sim::Message {
 };
 
 struct ShardRecoverReplyMsg final : sim::Message {
-  const char* kind() const override { return "runtime.shard_recover_reply"; }
+  static constexpr char kKind[] = "runtime.shard_recover_reply";
+  const char* kind() const override { return kKind; }
 
   /// One live ledger debit of the queried shard: `app` spent this much of
   /// the shard's lease on this node. Membership proof — the app was

@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -31,6 +32,7 @@ Network::Network(Simulator& simulator, Topology topology,
                                : std::make_unique<obs::MetricRegistry>()),
       registry_(registry ? registry : owned_registry_.get()),
       trace_(trace),
+      kind_handlers_(topology_.size()),
       handlers_(topology_.size()),
       drop_handlers_(topology_.size()),
       out_free_at_(topology_.size(), 0),
@@ -69,6 +71,30 @@ Network::Network(Simulator& simulator, Topology topology,
 
 void Network::set_handler(NodeIndex node, Handler handler) {
   handlers_.at(std::size_t(node)) = std::move(handler);
+}
+
+void Network::set_kind_handler(NodeIndex node, const char* kind,
+                               KindHandler handler) {
+  auto& row = kind_handlers_.at(std::size_t(node));
+  const KindId id = kind_id(kind);
+  if (row.size() <= id) {
+    // Every node ends up registering about the same kinds: size the row
+    // for all kinds interned so far rather than growing it one by one.
+    row.reserve(std::max<std::size_t>(id + 1, kind_names_.size()));
+    row.resize(id + 1);
+  }
+  row[id] = handler;
+}
+
+void Network::remove_handlers(NodeIndex node, const void* owner) {
+  for (KindHandler& entry : kind_handlers_.at(std::size_t(node))) {
+    if (entry.owner == owner) entry = KindHandler{};
+  }
+}
+
+const void* Network::deliver_now(Packet packet) {
+  packet.kind = kind_id(packet.payload ? packet.payload->kind() : nullptr);
+  return dispatch(packet);
 }
 
 void Network::set_node_up(NodeIndex node, bool up) {
@@ -128,13 +154,13 @@ void Network::set_send_interceptor(SendInterceptor interceptor) {
   send_interceptor_ = std::move(interceptor);
 }
 
-Network::KindId Network::kind_id(const Message* payload) {
+KindId Network::kind_id(const char* kind) {
   static const char* const kNullKind = "null";
-  const char* kind = payload ? payload->kind() : kNullKind;
+  if (kind == nullptr) kind = kNullKind;
 
   // Hot path: lock-free probe of the fixed pointer table. The key is
-  // release-published only after the id and every per-node counter column
-  // entry are in place, so an acquire hit may use the id immediately.
+  // release-published only after the id is in place, so an acquire hit
+  // may use the id immediately.
   const auto hash = std::hash<const char*>{}(kind);
   for (std::size_t i = 0; i < kKindTableSize; ++i) {
     auto& slot = kind_table_[(hash + i) & (kKindTableSize - 1)];
@@ -150,19 +176,10 @@ Network::KindId Network::kind_id(const Message* payload) {
       kind_ids_.emplace(kind, KindId(kind_names_.size()));
   if (inserted) {
     if (kind_names_.size() >= kMaxKinds) {
+      kind_ids_.erase(it);
       throw std::length_error("Network: more than kMaxKinds message kinds");
     }
-    // New kind: fill one counter column slot per node. Columns are
-    // pre-sized, so readers of *other* kinds never see a resize.
     kind_names_.emplace_back(kind);
-    for (std::size_t n = 0; n < topology_.size(); ++n) {
-      obs::Labels labels = node_labels(n);
-      labels.component = kind;
-      sent_by_kind_[n][it->second] =
-          &registry_->counter("net.sent_bytes_by_kind", labels);
-      received_by_kind_[n][it->second] =
-          &registry_->counter("net.received_bytes_by_kind", labels);
-    }
   }
   // Publish the pointer->id mapping: claim the first free slot in the
   // probe sequence (id first, key last with release). A full table is not
@@ -178,6 +195,18 @@ Network::KindId Network::kind_id(const Message* payload) {
     }
   }
   return it->second;
+}
+
+void Network::add_kind_cells(KindId kind) {
+  std::lock_guard<std::mutex> lk(kind_mu_);
+  for (std::size_t n = 0; n < topology_.size(); ++n) {
+    obs::Labels labels = node_labels(n);
+    labels.component = kind_names_[kind];
+    sent_by_kind_[n][kind] =
+        &registry_->counter("net.sent_bytes_by_kind", labels);
+    received_by_kind_[n][kind] =
+        &registry_->counter("net.received_bytes_by_kind", labels);
+  }
 }
 
 std::int64_t Network::received_bytes_of_kind(NodeIndex node,
@@ -304,6 +333,7 @@ void Network::send(NodeIndex src, NodeIndex dst, std::int64_t size_bytes,
   packet.src = src;
   packet.dst = dst;
   packet.size_bytes = size_bytes;
+  packet.kind = kind_id(payload ? payload->kind() : nullptr);
   packet.payload = std::move(payload);
   packet.sent_at = simulator_.now();
   packets_sent_->add();
@@ -314,8 +344,8 @@ void Network::send(NodeIndex src, NodeIndex dst, std::int64_t size_bytes,
   }
 
   if (src == dst) {
-    simulator_.call_after(kLoopbackDelay,
-                          [this, p = std::move(packet)] { deliver(p); });
+    const std::uint32_t slot = park(std::move(packet));
+    simulator_.call_after(kLoopbackDelay, [this, slot] { deliver(slot); });
     return;
   }
 
@@ -332,8 +362,12 @@ void Network::send(NodeIndex src, NodeIndex dst, std::int64_t size_bytes,
     return;
   }
   bytes_sent_[std::size_t(src)]->add(wire_bytes);
-  const KindId kind = kind_id(packet.payload.get());
-  sent_by_kind_[std::size_t(src)][kind]->add(wire_bytes);
+  obs::Counter* kind_sent = sent_by_kind_[std::size_t(src)][packet.kind];
+  if (kind_sent == nullptr) {
+    add_kind_cells(packet.kind);
+    kind_sent = sent_by_kind_[std::size_t(src)][packet.kind];
+  }
+  kind_sent->add(wire_bytes);
 #if RASC_OBS_TRACING
   if (trace_ && trace_->enabled() && packet.payload) {
     if (const auto id = packet.payload->unit_id()) {
@@ -354,14 +388,33 @@ void Network::send(NodeIndex src, NodeIndex dst, std::int64_t size_bytes,
                               1.0 + topology_.latency_jitter));
   }
   const SimTime arrival = departed + latency;
-  simulator_.call_at(arrival, [this, p = std::move(packet)]() mutable {
-    arrive(std::move(p));
-  });
+  const std::uint32_t slot = park(std::move(packet));
+  simulator_.call_at(arrival, [this, slot] { arrive(slot); });
 }
 
-void Network::arrive(Packet packet) {
+std::uint32_t Network::park(Packet&& packet) {
+  if (free_slots_.empty()) {
+    in_flight_.push_back(std::move(packet));
+    return std::uint32_t(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = std::move(packet);
+  return slot;
+}
+
+Packet Network::unpark(std::uint32_t slot) {
+  Packet packet = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  return packet;
+}
+
+void Network::arrive(std::uint32_t slot) {
+  // Stays in its slot unless it is lost here; nothing below sends, so the
+  // reference cannot dangle.
+  const Packet& packet = in_flight_[slot];
   if (!up_[std::size_t(packet.dst)]) {
-    count_lost(packet, obs::DropReason::kNodeFailed);
+    count_lost(unpark(slot), obs::DropReason::kNodeFailed);
     return;
   }
   // Wire loss: topology-wide rate, combined with any chaos-injected loss
@@ -373,7 +426,7 @@ void Network::arrive(Packet packet) {
     loss_rate = 1.0 - (1.0 - loss_rate) * (1.0 - injected);
   }
   if (loss_rate > 0 && loss_rng_.bernoulli(loss_rate)) {
-    count_lost(packet, obs::DropReason::kLinkLoss);
+    count_lost(unpark(slot), obs::DropReason::kLinkLoss);
     return;
   }
   // Input-port serialization, contended in true arrival order because this
@@ -385,15 +438,19 @@ void Network::arrive(Packet packet) {
   const SimTime start =
       std::max(simulator_.now(), in_free_at_[std::size_t(packet.dst)]);
   if (start - simulator_.now() > topology_.max_port_backlog) {
-    notify_drop(packet.dst, packet, /*outgoing=*/false);
+    // The drop handler may send: the packet leaves the slab first.
+    const Packet dropped = unpark(slot);
+    notify_drop(dropped.dst, dropped, /*outgoing=*/false);
     return;
   }
   const SimTime done = start + serialization_time(wire_bytes, bw_in);
   in_free_at_[std::size_t(packet.dst)] = done;
-  simulator_.call_at(done, [this, p = std::move(packet)] { deliver(p); });
+  simulator_.call_at(done, [this, slot] { deliver(slot); });
 }
 
-void Network::deliver(const Packet& packet) {
+void Network::deliver(std::uint32_t slot) {
+  // Out of the slab before any handler runs: a handler may send.
+  const Packet packet = unpark(slot);
   if (!up_[std::size_t(packet.dst)]) {
     count_lost(packet, obs::DropReason::kNodeFailed);
     return;
@@ -405,8 +462,17 @@ void Network::deliver(const Packet& packet) {
     const std::int64_t wire_bytes =
         packet.size_bytes + kFrameOverheadBytes;
     bytes_received_[std::size_t(packet.dst)]->add(wire_bytes);
-    const KindId kind = kind_id(packet.payload.get());
-    received_by_kind_[std::size_t(packet.dst)][kind]->add(wire_bytes);
+    received_by_kind_[std::size_t(packet.dst)][packet.kind]->add(wire_bytes);
+  }
+  dispatch(packet);
+}
+
+const void* Network::dispatch(const Packet& packet) {
+  const auto& row = kind_handlers_[std::size_t(packet.dst)];
+  if (packet.kind < row.size() && row[packet.kind].fn != nullptr) {
+    const KindHandler entry = row[packet.kind];
+    entry.fn(entry.owner, packet);
+    return entry.owner;
   }
   const auto& handler = handlers_[std::size_t(packet.dst)];
   if (handler) {
@@ -418,6 +484,7 @@ void Network::deliver(const Packet& packet) {
                     << ")";
     count_lost(packet, obs::DropReason::kUnroutable);
   }
+  return nullptr;
 }
 
 }  // namespace rasc::sim

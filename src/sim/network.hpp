@@ -7,7 +7,7 @@
 //   2. propagation latency (from the topology matrix);
 //   3. dst input-port serialization: computed *at arrival time* so that
 //      packets from different senders contend in true arrival order;
-//   4. delivery to the destination node's registered handler.
+//   4. delivery to the destination node's handler for the packet's kind.
 //
 // Both serialization steps are what make RASC's b_in/b_out constraints
 // (paper §3.2) physically binding: overload a node and queueing delay —
@@ -18,16 +18,28 @@
 // per-node byte/packet/drop counters plus per-(node, kind) wire bytes.
 // Message kinds are interned to dense ids on first sight, so the per-send
 // bookkeeping is flat vector indexing, not a string-keyed map lookup.
+//
+// Packet path (see DESIGN.md "Packet path"): send() interns the payload's
+// kind once and stores it on the Packet; accounting and dispatch reuse it.
+// Delivery indexes a per-(node, kind) handler table that subsystems fill
+// through the typed on<M...>() helper, so no handler ever probes the
+// payload's type. Packets in flight live in a Network-owned slab; the
+// scheduled arrival/delivery closures hold only {this, slot}, which fits
+// std::function's inline storage. A packet leaves its slot before any
+// handler sees it, because a handler may send and grow the slab.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "obs/metric_registry.hpp"
@@ -46,9 +58,6 @@ class Network {
   /// the loss into their monitoring.
   using DropHandler = std::function<void(const Packet&, bool outgoing)>;
 
-  /// Dense id of an interned message kind (per-Network scope).
-  using KindId = std::uint32_t;
-
   /// `registry` receives the traffic accounting; when null the network
   /// owns a private registry (tests, standalone use). `trace`, when
   /// non-null, gets port-drop / node-failure hops for data units.
@@ -56,9 +65,48 @@ class Network {
           obs::MetricRegistry* registry = nullptr,
           obs::UnitTrace* trace = nullptr);
 
-  /// Registers the upper-layer handler invoked when a packet is delivered
-  /// to `node`.
+  /// Registers `owner` for packets of each kind in `Ms...` delivered to
+  /// `node`. The captureless callable `F` is invoked as
+  /// `F{}(*owner, const M&, const Packet&)`, with the payload already
+  /// downcast (debug builds assert its type). A later registration of the
+  /// same (node, kind) replaces the earlier one.
+  template <class... Ms, class T, class F>
+  void on(NodeIndex node, T* owner, F) {
+    static_assert(std::is_empty_v<F> && std::is_default_constructible_v<F>,
+                  "a packet handler reaches its state through the owner");
+    (set_kind_handler(node, Ms::kKind,
+                      KindHandler{
+                          [](void* self, const Packet& packet) {
+                            assert(packet.payload != nullptr &&
+                                   typeid(*packet.payload) == typeid(Ms));
+                            F{}(*static_cast<T*>(self),
+                                static_cast<const Ms&>(*packet.payload),
+                                packet);
+                          },
+                          owner}),
+     ...);
+  }
+
+  /// Drops every per-kind handler `owner` registered at `node` (called by
+  /// a subsystem's destructor).
+  void remove_handlers(NodeIndex node, const void* owner);
+
+  /// Registers `node`'s catch-all: it receives packets of every kind that
+  /// has no per-kind handler there. Without one, such a packet is logged
+  /// and counted as lost (unroutable).
   void set_handler(NodeIndex node, Handler handler);
+
+  /// Hands `packet` to its destination's handler at once: no ports, no
+  /// latency, no traffic accounting. Returns the owner of the per-kind
+  /// handler that took it, or nullptr when none did (the catch-all or the
+  /// unroutable path then ran, as for a real delivery). Tests use it to
+  /// drive one protocol step without the wire.
+  const void* deliver_now(Packet packet);
+
+  /// Interns `kind` (a message class's kKind) and returns its dense id.
+  /// Interning creates no metric cells: per-kind byte counters appear
+  /// when a kind is first transmitted.
+  KindId kind_id(const char* kind);
 
   /// Registers the tail-drop observer for `node`.
   void set_drop_handler(NodeIndex node, DropHandler handler);
@@ -141,6 +189,13 @@ class Network {
     return in_queue_drops_[std::size_t(node)]->value();
   }
 
+  /// Packets between send() and their last event (delivery or loss).
+  std::size_t packets_in_flight() const {
+    return in_flight_.size() - free_slots_.size();
+  }
+  /// Slots the in-flight slab has grown to (high-water mark).
+  std::size_t in_flight_slots() const { return in_flight_.size(); }
+
   // --- Per-kind accounting (interned kinds, flat storage) ---
 
   /// Interned message kinds, in id order. Index with a KindId.
@@ -175,19 +230,37 @@ class Network {
 
   /// Hard cap on distinct interned message kinds. Per-(node, kind) counter
   /// columns are pre-sized to this so indexing them never races a resize;
-  /// interning a kind beyond the cap throws. Real
-  /// deployments use ~a dozen kinds.
+  /// interning a kind beyond the cap throws. The simulator's own
+  /// subsystems define 32 kinds.
   static constexpr std::size_t kMaxKinds = 64;
 
  private:
-  void arrive(Packet packet);
-  void deliver(const Packet& packet);
+  /// One dispatch-table entry: a plain function and the object it acts
+  /// on, 16 bytes per (node, kind).
+  struct KindHandler {
+    void (*fn)(void* owner, const Packet& packet) = nullptr;
+    void* owner = nullptr;
+  };
+
+  void set_kind_handler(NodeIndex node, const char* kind,
+                        KindHandler handler);
+
+  // The in-flight slab: park() moves a packet into a free slot, unpark()
+  // moves it out and frees the slot.
+  std::uint32_t park(Packet&& packet);
+  Packet unpark(std::uint32_t slot);
+
+  void arrive(std::uint32_t slot);
+  void deliver(std::uint32_t slot);
+  /// Runs the handler for `packet`'s kind at its destination (or the
+  /// catch-all / unroutable path); returns the per-kind owner or nullptr.
+  const void* dispatch(const Packet& packet);
 
   void notify_drop(NodeIndex node, const Packet& packet, bool outgoing);
   void count_lost(const Packet& packet, obs::DropReason reason);
 
-  /// Interns the payload's kind, growing the per-node kind columns.
-  KindId kind_id(const Message* payload);
+  /// Creates the per-node sent/received byte cells of `kind`.
+  void add_kind_cells(KindId kind);
 
   Simulator& simulator_;
   Topology topology_;
@@ -196,8 +269,11 @@ class Network {
   obs::MetricRegistry* registry_;
   obs::UnitTrace* trace_;
 
-  std::vector<Handler> handlers_;
+  std::vector<std::vector<KindHandler>> kind_handlers_;  // [node][kind]
+  std::vector<Handler> handlers_;                        // catch-alls
   std::vector<DropHandler> drop_handlers_;
+  std::vector<Packet> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<SimTime> out_free_at_;
   std::vector<SimTime> in_free_at_;
 
@@ -209,14 +285,14 @@ class Network {
   obs::Counter* packets_sent_;
   obs::Counter* packets_dropped_;
 
-  // Kind interning: `kind()` returns string literals, so a pointer probe
-  // short-circuits the by-content lookup after each call site's first
-  // send. The probe table is a fixed open-addressed array of (atomic key,
-  // id) pairs, read lock-free; `kind_mu_` guards the slow path that
-  // interns a new kind (string dedupe + column fill + slot publish, key
-  // released last). Per-kind byte cells are indexed [node][kind id];
-  // columns are pre-sized to kMaxKinds so indexing never observes a
-  // vector resize.
+  // Kind interning: `kind()` returns a class's kKind literal, so a
+  // pointer probe short-circuits the by-content lookup after a literal's
+  // first sight. The probe table is a fixed open-addressed array of
+  // (atomic key, id) pairs, read lock-free; `kind_mu_` guards the slow
+  // path that interns a new kind (string dedupe + slot publish, key
+  // released last). Per-kind byte cells are indexed [node][kind id] and
+  // stay null until the kind is first transmitted; columns are pre-sized
+  // to kMaxKinds so indexing never observes a vector resize.
   struct KindSlot {
     std::atomic<const char*> key{nullptr};
     std::atomic<KindId> id{0};

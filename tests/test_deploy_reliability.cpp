@@ -39,7 +39,9 @@ core::ServiceRequest request_for(exp::World& world) {
   return req;
 }
 
-sim::Packet deliver(exp::World& world, sim::NodeIndex dst,
+/// Hands `payload` from node 0 to `dst`'s handler for its kind, at once;
+/// returns the subsystem that consumed it.
+const void* deliver(exp::World& world, sim::NodeIndex dst,
                     sim::MessagePtr payload) {
   sim::Packet packet;
   packet.src = 0;
@@ -47,7 +49,7 @@ sim::Packet deliver(exp::World& world, sim::NodeIndex dst,
   packet.size_bytes = 64;
   packet.payload = std::move(payload);
   packet.sent_at = world.simulator().now();
-  return packet;
+  return world.network().deliver_now(std::move(packet));
 }
 
 std::shared_ptr<runtime::DeployComponentMsg> component_msg(
@@ -83,13 +85,13 @@ TEST(DeployReliability, DuplicateDeployReAcksWithoutReapplying) {
   auto& rt = world.host(1).runtime();
 
   const auto msg = component_msg(7, 1, 77, sim::NodeIndex(2));
-  ASSERT_TRUE(rt.handle_packet(deliver(world, 1, msg)));
+  ASSERT_EQ(deliver(world, 1, msg), &rt);
   EXPECT_EQ(rt.component_count(), 1u);
   const double reserved_once = monitor_reserved(world, 1);
   EXPECT_GT(reserved_once, 0);
 
   // Retransmission / wire duplicate: verdict re-acked, nothing re-applied.
-  ASSERT_TRUE(rt.handle_packet(deliver(world, 1, msg)));
+  ASSERT_EQ(deliver(world, 1, msg), &rt);
   EXPECT_EQ(rt.component_count(), 1u);
   EXPECT_EQ(monitor_reserved(world, 1), reserved_once);
   EXPECT_EQ(world.metrics().counter_total("deploy.dup_acks"), 1);
@@ -103,21 +105,18 @@ TEST(DeployReliability, RolledBackEpochTombstonesLateDeploys) {
   auto td = std::make_shared<runtime::TeardownAppMsg>();
   td->app = 7;
   td->epoch = 5;
-  ASSERT_TRUE(rt.handle_packet(deliver(world, 1, td)));
+  ASSERT_EQ(deliver(world, 1, td), &rt);
 
   // Late deploy of the rolled-back attempt: dropped, not re-instantiated.
-  ASSERT_TRUE(
-      rt.handle_packet(deliver(world, 1, component_msg(7, 5, 91, 2))));
+  ASSERT_EQ(deliver(world, 1, component_msg(7, 5, 91, 2)), &rt);
   EXPECT_EQ(rt.component_count(), 0u);
   // And anything from an older attempt too.
-  ASSERT_TRUE(
-      rt.handle_packet(deliver(world, 1, component_msg(7, 4, 92, 2))));
+  ASSERT_EQ(deliver(world, 1, component_msg(7, 4, 92, 2)), &rt);
   EXPECT_EQ(rt.component_count(), 0u);
   EXPECT_EQ(world.metrics().counter_total("deploy.stale_epoch"), 2);
 
   // A genuinely newer attempt still deploys.
-  ASSERT_TRUE(
-      rt.handle_packet(deliver(world, 1, component_msg(7, 6, 93, 2))));
+  ASSERT_EQ(deliver(world, 1, component_msg(7, 6, 93, 2)), &rt);
   EXPECT_EQ(rt.component_count(), 1u);
 }
 
@@ -125,22 +124,21 @@ TEST(DeployReliability, StaleTeardownCannotKillNewerEpoch) {
   exp::World world(small_world());
   auto& rt = world.host(1).runtime();
 
-  ASSERT_TRUE(
-      rt.handle_packet(deliver(world, 1, component_msg(7, 5, 91, 2))));
+  ASSERT_EQ(deliver(world, 1, component_msg(7, 5, 91, 2)), &rt);
   ASSERT_EQ(rt.component_count(), 1u);
 
   // A reordered rollback of attempt 3 arrives after attempt 5 deployed.
   auto stale = std::make_shared<runtime::TeardownAppMsg>();
   stale->app = 7;
   stale->epoch = 3;
-  ASSERT_TRUE(rt.handle_packet(deliver(world, 1, stale)));
+  ASSERT_EQ(deliver(world, 1, stale), &rt);
   EXPECT_EQ(rt.component_count(), 1u);
   EXPECT_EQ(world.metrics().counter_total("deploy.stale_epoch"), 1);
 
   // Epoch 0 = unconditional (supervisor recovery): always applies.
   auto legacy = std::make_shared<runtime::TeardownAppMsg>();
   legacy->app = 7;
-  ASSERT_TRUE(rt.handle_packet(deliver(world, 1, legacy)));
+  ASSERT_EQ(deliver(world, 1, legacy), &rt);
   EXPECT_EQ(rt.component_count(), 0u);
 }
 
@@ -403,8 +401,7 @@ TEST(DeployReliability, OrphanReaperCollectsAbandonedPartialDeploy) {
 
   // A partial deploy whose coordinator died: nothing ever streams, no
   // teardown will ever arrive.
-  ASSERT_TRUE(
-      rt.handle_packet(deliver(world, 2, component_msg(7, 1, 50, 3))));
+  ASSERT_EQ(deliver(world, 2, component_msg(7, 1, 50, 3)), &rt);
   ASSERT_EQ(rt.component_count(), 1u);
   ASSERT_GT(monitor_reserved(world, 2), 0);
 
@@ -421,8 +418,7 @@ TEST(DeployReliability, SupervisorProbesRenewOrphanLease) {
   auto& sim = world.simulator();
   auto& rt = world.host(2).runtime();
 
-  ASSERT_TRUE(
-      rt.handle_packet(deliver(world, 2, component_msg(7, 1, 50, 3))));
+  ASSERT_EQ(deliver(world, 2, component_msg(7, 1, 50, 3)), &rt);
 
   // A supervisor is probing the app: each probe renews the lease.
   const sim::SimTime t0 = sim.now();
@@ -432,7 +428,7 @@ TEST(DeployReliability, SupervisorProbesRenewOrphanLease) {
       probe->app = 7;
       probe->request_id = 1;
       probe->requester = 0;
-      rt.handle_packet(deliver(world, 2, probe));
+      EXPECT_EQ(deliver(world, 2, probe), &rt);
     });
   }
   sim.run_until(t0 + sim::sec(5) + sim::msec(500));

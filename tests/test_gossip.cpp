@@ -47,9 +47,6 @@ struct Fleet {
             return s;
           },
           registry));
-      network.set_handler(node, [this, i](const sim::Packet& packet) {
-        agents[i]->handle_packet(packet);
-      });
     }
   }
 
@@ -87,7 +84,7 @@ TEST(GossipAgent, MergeAcceptsStrictlyNewerVersionsOnly) {
   packet.src = 1;
   packet.dst = 0;
   packet.payload = digest;
-  ASSERT_TRUE(agent.handle_packet(packet));
+  ASSERT_EQ(fleet.network.deliver_now(packet), &agent);
   ASSERT_EQ(agent.view().count(1), 1u);
   EXPECT_EQ(agent.view().at(1).summary.version, 5u);
 
@@ -97,7 +94,7 @@ TEST(GossipAgent, MergeAcceptsStrictlyNewerVersionsOnly) {
   s.free_out_kbps = 222.0;
   stale->entries = {s};
   packet.payload = stale;
-  agent.handle_packet(packet);
+  fleet.network.deliver_now(packet);
   EXPECT_DOUBLE_EQ(agent.view().at(1).summary.free_out_kbps, 111.0);
 
   auto fresh = std::make_shared<gossip::GossipDigestMsg>();
@@ -105,7 +102,7 @@ TEST(GossipAgent, MergeAcceptsStrictlyNewerVersionsOnly) {
   s.free_out_kbps = 333.0;
   fresh->entries = {s};
   packet.payload = fresh;
-  agent.handle_packet(packet);
+  fleet.network.deliver_now(packet);
   EXPECT_EQ(agent.view().at(1).summary.version, 6u);
   EXPECT_DOUBLE_EQ(agent.view().at(1).summary.free_out_kbps, 333.0);
 
@@ -115,7 +112,7 @@ TEST(GossipAgent, MergeAcceptsStrictlyNewerVersionsOnly) {
   s.version = 999;
   spoof->entries = {s};
   packet.payload = spoof;
-  agent.handle_packet(packet);
+  fleet.network.deliver_now(packet);
   EXPECT_EQ(agent.view().count(0), 0u) << "self entry only via refresh";
 }
 

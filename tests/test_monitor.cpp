@@ -116,8 +116,6 @@ TEST(StatsProtocol, RemoteQueryRoundTrip) {
   params.advertise_reservations = true;
   NodeMonitor mon0(sim, net, 0, params), mon1(sim, net, 1, params);
   StatsAgent agent0(sim, net, 0, mon0), agent1(sim, net, 1, mon1);
-  net.set_handler(0, [&](const sim::Packet& p) { agent0.handle_packet(p); });
-  net.set_handler(1, [&](const sim::Packet& p) { agent1.handle_packet(p); });
 
   mon1.add_reservation(1234.0, 0.0);
   bool ok = false;
@@ -137,7 +135,6 @@ TEST(StatsProtocol, QueryTimesOutOnDeadNode) {
   sim::Network net(sim, sim::make_uniform_topology(2, 8000.0, sim::msec(5)));
   NodeMonitor mon0(sim, net, 0);
   StatsAgent agent0(sim, net, 0, mon0);
-  net.set_handler(0, [&](const sim::Packet& p) { agent0.handle_packet(p); });
   net.set_node_up(1, false);
 
   bool called = false, ok = true;
@@ -158,9 +155,6 @@ TEST(StatsProtocol, QueryManyGathersAllReachable) {
   for (sim::NodeIndex i = 0; i < 4; ++i) {
     mons.push_back(std::make_unique<NodeMonitor>(sim, net, i));
     agents.push_back(std::make_unique<StatsAgent>(sim, net, i, *mons.back()));
-    StatsAgent* agent = agents.back().get();
-    net.set_handler(i,
-                    [agent](const sim::Packet& p) { agent->handle_packet(p); });
   }
   net.set_node_up(3, false);  // one target dead
 

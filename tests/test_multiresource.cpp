@@ -172,7 +172,6 @@ TEST(RuntimeCpu, MonitorMeasuresCpuUtilization) {
   ServiceCatalog catalog;
   catalog.add({"burn", sim::msec(25), 1.0, 1.0});  // 25 ms per unit
   NodeRuntime rt(sim, net, 1, mon, catalog);
-  net.set_handler(1, [&rt](const sim::Packet& p) { rt.handle_packet(p); });
   net.set_handler(2, [](const sim::Packet&) {});
 
   // 20 ups x 25 ms = 50% CPU.
@@ -225,8 +224,6 @@ TEST(RuntimeCpu, JitteredExecutionStillDeliversEverything) {
   NodeRuntime rt0(sim, net, 0, mon0, catalog);
   NodeRuntime rt1(sim, net, 1, mon1, catalog);
   NodeRuntime rt2(sim, net, 2, mon2, catalog);
-  net.set_handler(1, [&rt1](const sim::Packet& p) { rt1.handle_packet(p); });
-  net.set_handler(2, [&rt2](const sim::Packet& p) { rt2.handle_packet(p); });
 
   rt1.deploy_component({1, 0, 0}, "wobble", 20.0, 500, {{2, 20.0}});
   rt2.deploy_sink(1, 0, 20.0, 500);

@@ -4,13 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace rasc::sim {
 namespace {
 
 struct Ping final : Message {
-  const char* kind() const override { return "test.ping"; }
+  static constexpr char kKind[] = "test.ping";
+  const char* kind() const override { return kKind; }
   int tag = 0;
 };
 
@@ -389,6 +391,197 @@ TEST(NetworkJitter, ZeroJitterIsExactlyDeterministic) {
     EXPECT_EQ(arrivals[i],
               msec(10 * std::int64_t(i)) + fixed + msec(100));
   }
+}
+
+// --- Per-kind dispatch ---------------------------------------------------
+
+struct Pong final : Message {
+  static constexpr char kKind[] = "test.pong";
+  const char* kind() const override { return kKind; }
+};
+
+TEST(NetworkDispatch, KindHandlerPreemptsCatchAllAndCanBeRemoved) {
+  Simulator sim;
+  Network net(sim, make_uniform_topology(2, 1000.0, msec(1)));
+  struct Sink {
+    std::vector<int> pings;
+  } owner;
+  std::vector<int>& pings = owner.pings;
+  int caught = 0;
+  net.on<Ping>(1, &owner, [](Sink& sink, const Ping& ping, const Packet& p) {
+    EXPECT_EQ(p.src, 0);
+    sink.pings.push_back(ping.tag);
+  });
+  net.set_handler(1, [&caught](const Packet&) { ++caught; });
+  auto tagged = std::make_shared<Ping>();
+  tagged->tag = 7;
+  net.send(0, 1, 10, tagged);
+  net.send(0, 1, 10, std::make_shared<Pong>());
+  sim.run_all();
+  EXPECT_EQ(pings, std::vector<int>{7});
+  EXPECT_EQ(caught, 1);  // the Pong: no handler of its own
+
+  // Synchronous delivery reports who consumed the packet.
+  Packet packet;
+  packet.src = 0;
+  packet.dst = 1;
+  packet.payload = tagged;
+  EXPECT_EQ(net.deliver_now(packet), &owner);
+  net.remove_handlers(1, &owner);
+  EXPECT_EQ(net.deliver_now(packet), nullptr);
+  EXPECT_EQ(pings.size(), 2u);
+  EXPECT_EQ(caught, 2);
+  EXPECT_EQ(net.packets_dropped(), 0);
+}
+
+TEST(NetworkDispatch, InterningAKindCreatesNoMetricCells) {
+  Simulator sim;
+  obs::MetricRegistry registry;
+  Network net(sim, make_uniform_topology(2, 1000.0, msec(1)), &registry);
+  const std::size_t cells = registry.size();
+  int owner = 0;
+  net.on<Ping, Pong>(1, &owner, [](int&, const auto&, const Packet&) {});
+  EXPECT_EQ(net.kind_id(Ping::kKind), net.kind_id("test.ping"));
+  EXPECT_EQ(registry.size(), cells);
+  // The first transmission of a kind materializes its byte cells.
+  net.send(0, 1, 10, std::make_shared<Ping>());
+  sim.run_all();
+  EXPECT_EQ(net.received_by_kind(1).at("test.ping"),
+            10 + Network::kFrameOverheadBytes);
+  EXPECT_EQ(net.sent_by_kind(0).count("test.pong"), 0u);
+}
+
+// --- In-flight ownership: the slab releases every payload ----------------
+
+/// Sends a fresh Ping and keeps only a weak reference to it.
+std::weak_ptr<const Message> send_tracked(Network& net, NodeIndex src,
+                                          NodeIndex dst,
+                                          std::int64_t bytes = 1000) {
+  auto ping = std::make_shared<Ping>();
+  std::weak_ptr<const Message> weak = ping;
+  net.send(src, dst, bytes, std::move(ping));
+  return weak;
+}
+
+void expect_released(const Network& net,
+                     const std::vector<std::weak_ptr<const Message>>& sent) {
+  EXPECT_EQ(net.packets_in_flight(), 0u);
+  for (const auto& weak : sent) EXPECT_TRUE(weak.expired());
+}
+
+TEST(NetworkInFlight, DeliveredAndLoopbackReleasePayloads) {
+  Simulator sim;
+  Network net(sim, make_uniform_topology(2, 1000.0, msec(10)));
+  int delivered = 0;
+  net.set_handler(1, [&delivered](const Packet&) { ++delivered; });
+  std::vector<std::weak_ptr<const Message>> sent;
+  sent.push_back(send_tracked(net, 0, 1));
+  sent.push_back(send_tracked(net, 1, 1));  // loopback
+  EXPECT_EQ(net.packets_in_flight(), 2u);
+  sim.run_all();
+  EXPECT_EQ(delivered, 2);
+  expect_released(net, sent);
+}
+
+TEST(NetworkInFlight, TailDropsReleasePayloads) {
+  Simulator sim;
+  auto topo = make_uniform_topology(11, 1000.0, msec(5));
+  topo.max_port_backlog = msec(30);
+  Network net(sim, topo);
+  net.set_handler(1, [](const Packet&) {});
+  net.set_handler(10, [](const Packet&) {});
+  std::vector<std::weak_ptr<const Message>> sent;
+  // Out port: 20 back-to-back sends overflow node 0's send queue.
+  for (int i = 0; i < 20; ++i) sent.push_back(send_tracked(net, 0, 1));
+  // In port: nine senders converge on node 10.
+  for (NodeIndex s = 2; s < 10; ++s) {
+    for (int i = 0; i < 5; ++i) sent.push_back(send_tracked(net, s, 10));
+  }
+  sim.run_all();
+  EXPECT_GT(net.out_queue_drops(0), 0);
+  EXPECT_GT(net.in_queue_drops(10), 0);
+  expect_released(net, sent);
+}
+
+TEST(NetworkInFlight, LinkLossReleasesPayloads) {
+  Simulator sim;
+  auto topo = make_uniform_topology(2, 1000.0, msec(5));
+  topo.loss_rate = 1.0;
+  Network net(sim, topo);
+  net.set_handler(1, [](const Packet&) { ADD_FAILURE() << "delivered"; });
+  std::vector<std::weak_ptr<const Message>> sent;
+  for (int i = 0; i < 5; ++i) sent.push_back(send_tracked(net, 0, 1));
+  sim.run_all();
+  EXPECT_EQ(net.packets_dropped(), 5);
+  expect_released(net, sent);
+}
+
+TEST(NetworkInFlight, NodeFailureBeforeArrivalOrDeliveryReleasesPayloads) {
+  // 1000 bytes at 1000 kbps: departs at 8384 us, arrives at 18384 us,
+  // delivered at 26768 us.
+  for (const SimTime fail_at : {usec(1000), usec(20000)}) {
+    SCOPED_TRACE(fail_at);
+    Simulator sim;
+    Network net(sim, make_uniform_topology(2, 1000.0, msec(10)));
+    net.set_handler(1, [](const Packet&) { ADD_FAILURE() << "delivered"; });
+    std::vector<std::weak_ptr<const Message>> sent;
+    sent.push_back(send_tracked(net, 0, 1));
+    sim.call_at(fail_at, [&net] { net.fail_node(1); });
+    sim.run_all();
+    EXPECT_EQ(net.packets_dropped(), 1);
+    expect_released(net, sent);
+  }
+}
+
+TEST(NetworkInFlight, InterceptedPacketsReleasePayloads) {
+  Simulator sim;
+  Network net(sim, make_uniform_topology(2, 1000.0, msec(10)));
+  int delivered = 0;
+  net.set_handler(1, [&delivered](const Packet&) { ++delivered; });
+  int call = 0;
+  net.set_send_interceptor(
+      [&call](NodeIndex, NodeIndex, const Message*) {
+        Network::SendPerturbation p;
+        switch (call++) {
+          case 0: p.drop = true; break;
+          case 1: p.extra_delay = msec(50); break;
+          default: p.duplicates = 2; break;
+        }
+        return p;
+      });
+  std::vector<std::weak_ptr<const Message>> sent;
+  for (int i = 0; i < 3; ++i) sent.push_back(send_tracked(net, 0, 1));
+  sim.run_all();
+  EXPECT_EQ(delivered, 1 + 3);  // the delayed one, the last one + 2 copies
+  EXPECT_EQ(net.packets_dropped(), 1);
+  expect_released(net, sent);
+}
+
+TEST(NetworkInFlight, SlabDoesNotGrowOverFailRestoreCycles) {
+  Simulator sim;
+  Network net(sim, make_uniform_topology(4, 1000.0, msec(10)));
+  for (NodeIndex n = 0; n < 4; ++n) net.set_handler(n, [](const Packet&) {});
+  std::vector<std::weak_ptr<const Message>> sent;
+  auto cycle = [&] {
+    const SimTime t0 = sim.now();
+    for (int i = 0; i < 4; ++i) {
+      sent.push_back(send_tracked(net, 0, 1));
+      sent.push_back(send_tracked(net, 2, 1));
+      sent.push_back(send_tracked(net, 3, 3));
+    }
+    // Node 1 dies with packets queued, serializing and propagating
+    // towards it, then comes back while later ones are still in flight.
+    sim.call_at(t0 + usec(12000), [&net] { net.fail_node(1); });
+    sim.call_at(t0 + usec(25000), [&net] { net.restore_node(1); });
+    sim.run_all();
+  };
+  cycle();
+  const std::size_t slots = net.in_flight_slots();
+  EXPECT_GT(slots, 0u);
+  for (int i = 1; i < 50; ++i) cycle();
+  EXPECT_EQ(net.node_failures(1), 50);
+  EXPECT_EQ(net.in_flight_slots(), slots);
+  expect_released(net, sent);
 }
 
 }  // namespace

@@ -314,9 +314,6 @@ TEST(OverlayChurn, LateJoinIntegratesWhileTrafficFlows) {
 
   PastryNode late(simulator, network, 8,
                   NodeId128::hash_of("late-joiner"));
-  network.set_handler(8, [&late](const sim::Packet& p) {
-    late.handle_packet(p);
-  });
   bool joined = false;
   late.join_via(3, [&joined](bool ok) { joined = ok; });
   simulator.run_until(simulator.now() + sim::sec(5));

@@ -33,9 +33,6 @@ class RuntimeFixture : public ::testing::Test {
           sim_, net_, i, monitor_params));
       runtimes_.push_back(std::make_unique<NodeRuntime>(
           sim_, net_, i, *monitors_.back(), catalog_));
-      NodeRuntime* rt = runtimes_.back().get();
-      net_.set_handler(i,
-                       [rt](const sim::Packet& p) { rt->handle_packet(p); });
     }
   }
 

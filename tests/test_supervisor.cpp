@@ -135,15 +135,8 @@ TEST(Supervisor, GivesUpAfterMaxRecoveries) {
   params.max_recoveries = 1;
   AppSupervisor supervisor(sim, world.network(),
                            world.host(0).coordinator(), composer, params);
-  // NOTE: this standalone supervisor shares node 0's fallback with the
-  // Host's own supervisor; route health replies manually by watching
-  // through the host-owned one is not possible here, so install the
-  // standalone one in front.
-  world.overlay().set_fallback(0, [&world, &supervisor](
-                                      const sim::Packet& p) {
-    if (supervisor.handle_packet(p)) return;
-    world.host(0).handle_packet(p);
-  });
+  // This standalone supervisor shares node 0 with the Host's own; being
+  // registered later, it takes node 0's health replies.
 
   std::vector<AppSupervisor::Event> events;
   supervisor.watch(req, app.plan, stop,
@@ -215,11 +208,6 @@ failing_recovery_events(exp::World& world, const AppSupervisor::Params& params) 
   RejectingComposer rejecting;
   AppSupervisor supervisor(sim, world.network(), world.host(0).coordinator(),
                            rejecting, params, &world.metrics());
-  world.overlay().set_fallback(0, [&world, &supervisor](
-                                      const sim::Packet& p) {
-    if (supervisor.handle_packet(p)) return;
-    world.host(0).handle_packet(p);
-  });
 
   std::vector<std::pair<AppSupervisor::Event::Kind, sim::SimTime>> events;
   supervisor.watch(req, app.plan, stop,
