@@ -1,21 +1,22 @@
-// Micro-benchmark: cost of the solver *workspace*, isolated from the
-// algorithm, on the composition graphs the composer builds (stages ×
-// providers). Three variants of the same solve separate what the reusable
-// SspSolver buys:
+// Micro-benchmark: the per-substream solve on the composition graphs the
+// composer builds (stages × providers). Two variants of a bare solve
+// separate what the reusable SspSolver workspace buys:
 //   cold    — fresh solver every call: pays the CSR adjacency build, all
 //             vector allocations, and a from-scratch solve;
 //   reused  — one persistent solver, same topology: adjacency snapshot and
-//             buffers are cached, only the solve itself runs;
-//   repair  — persistent solver AND persistent graph: tighten a batch of
-//             candidate capacities in place, then warm-start re-solve from
-//             the previous potentials — the composer's repair-loop pattern.
-// Plus the end-to-end repair pattern with share extraction.
+//             buffers are cached, only the solve itself runs.
+// BM_SubstreamSolve then times core::SubstreamSolver, the routine both
+// composition and rate adaptation call: warm-started solve plus the
+// per-node capacity repair loop on one persistent graph.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "composition_caps.hpp"
 #include "core/composition_graph.hpp"
+#include "core/mincost_composer.hpp"
+#include "core/plan_math.hpp"
 #include "flow/ssp.hpp"
 #include "util/rng.hpp"
 
@@ -57,80 +58,80 @@ void BM_ComposeSolverReused(benchmark::State& state) {
 }
 BENCHMARK(BM_ComposeSolverReused)->Args({5, 16})->Args({5, 64});
 
-void BM_ComposeSolverWarmRepair(benchmark::State& state) {
+void BM_SubstreamSolve(benchmark::State& state) {
+  // The loop composition and rate adaptation both run: one persistent
+  // CompositionGraph whose capacities are rewritten each round, solved by
+  // SubstreamSolver — warm-started solve, per-node capacity repair, share
+  // folding and the residual update. Candidate p of every stage is node
+  // p, so one node serves consecutive stages, and each node has wire
+  // budget for only kNodeUps delivered ups in total: stacking stages on
+  // a node trips the repair loop (2 or 3 solves per call at these sizes).
   const int stages = int(state.range(0));
   const int providers = int(state.range(1));
-  util::Xoshiro256 rng(7);
-  auto cg = bench::random_composition_graph(stages, providers, rng);
+  constexpr double kNodeUps = 0.75 * bench::kDemandUps;
+  constexpr std::int64_t kUnitBytes = 1250;
+  util::Xoshiro256 rng(11);
+  const auto candidates = bench::random_candidates(stages, providers, rng);
+  core::CompositionGraph cg(candidates, bench::kGateUps, bench::kGateUps,
+                            bench::kDemandUps);
 
-  // Pre-generate capacity edit batches: each re-draws ~10% of the
-  // candidates, cycled so the graph never drifts toward zero capacity.
-  struct Edit {
-    int stage, index;
-    double ups;
-  };
-  std::vector<std::vector<Edit>> edits(8);
-  for (auto& batch : edits) {
-    for (int s = 0; s < stages; ++s) {
-      for (int p = 0; p < providers; ++p) {
-        if (rng.bernoulli(0.1)) {
-          batch.push_back(Edit{s, p, rng.uniform_double(2.0, 30.0)});
-        }
-      }
-    }
+  runtime::ServiceCatalog catalog;
+  core::ComposeInput input;
+  input.catalog = &catalog;
+  auto& req = input.request;
+  req.source = providers;
+  req.destination = providers + 1;
+  req.unit_bytes = kUnitBytes;
+  req.substreams.resize(1);
+  auto& sub = req.substreams[0];
+  for (int s = 0; s < stages; ++s) {
+    std::string service(1, 's');
+    service += std::to_string(s);
+    catalog.add({service, sim::msec(1), 1.0, 1.0});
+    sub.services.push_back(service);
   }
+  sub.rate_kbps = core::payload_kbps(bench::kDemandUps, double(kUnitBytes));
+  const auto stats = [](sim::NodeIndex node, double kbps) {
+    monitor::NodeStats s;
+    s.node = node;
+    s.capacity_in_kbps = kbps;
+    s.capacity_out_kbps = kbps;
+    return s;
+  };
+  // Availability is reported through the tracker's headroom.
+  const double node_kbps =
+      core::wire_kbps(kNodeUps, double(kUnitBytes)) /
+      core::ResidualTracker::kDefaultHeadroom;
+  for (int p = 0; p < providers; ++p) {
+    input.providers[sub.services[0]].push_back(stats(p, node_kbps));
+  }
+  input.source_stats = stats(req.source, 1e6);
+  input.destination_stats = stats(req.destination, 1e6);
+  const core::SubstreamMath math(sub, catalog, kUnitBytes);
+  const double demand = math.delivered_ups(sub.rate_kbps);
 
-  const flow::SolveOptions opts{.assume_nonnegative_costs = true,
-                                .warm_start = true};
-  flow::SspSolver solver;
-  // Prime potentials + snapshot.
-  solver.solve(cg.graph(), cg.source(), cg.sink(), cg.demand(), opts);
-  std::size_t which = 0;
+  core::SubstreamSolver solver;
+  std::int64_t solved = 0;
   for (auto _ : state) {
     cg.reset_flow();
-    for (const Edit& e : edits[which]) {
-      cg.set_candidate_cap(e.stage, e.index, e.ups);
+    for (int s = 0; s < stages; ++s) {
+      for (int p = 0; p < providers; ++p) {
+        cg.set_candidate_cap(
+            s, p,
+            candidates[std::size_t(s)][std::size_t(p)].max_delivered_ups);
+      }
     }
-    which = (which + 1) % edits.size();
-    const auto r = solver.solve(cg.graph(), cg.source(), cg.sink(),
-                                cg.demand(), opts);
-    benchmark::DoNotOptimize(r.cost);
+    core::ResidualTracker tracker(input);
+    const auto r = solver.solve(cg, candidates, math, req, demand, tracker);
+    solved += r.status == core::SubstreamSolver::Status::kSolved;
+    benchmark::DoNotOptimize(r.shares.data());
   }
+  state.counters["solved"] = benchmark::Counter(
+      double(solved), benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
                           cg.graph().num_arcs());
 }
-BENCHMARK(BM_ComposeSolverWarmRepair)->Args({5, 16})->Args({5, 64});
-
-void BM_CompositionRepair(benchmark::State& state) {
-  // The composer's actual hot path: one persistent CompositionGraph,
-  // capacities tightened in place each round, warm re-solve, shares out.
-  const int stages = int(state.range(0));
-  const int providers = int(state.range(1));
-  util::Xoshiro256 rng(11);
-  auto cg = bench::random_composition_graph(stages, providers, rng);
-  const flow::SolveOptions opts{.assume_nonnegative_costs = true,
-                                .warm_start = true};
-  flow::SspSolver solver;
-  solver.solve(cg.graph(), cg.source(), cg.sink(), cg.demand(), opts);
-  for (auto _ : state) {
-    cg.reset_flow();
-    // Tighten one candidate per stage, as a repair round does when a
-    // provider's reported bandwidth drops.
-    for (int s = 0; s < stages; ++s) {
-      const int idx = int(rng.uniform_int(0, providers - 1));
-      cg.set_candidate_cap(s, idx, rng.uniform_double(2.0, 30.0));
-    }
-    const auto r = solver.solve(cg.graph(), cg.source(), cg.sink(),
-                                cg.demand(), opts);
-    benchmark::DoNotOptimize(r.flow);
-    auto shares = cg.extract_shares();
-    benchmark::DoNotOptimize(shares.size());
-  }
-}
-BENCHMARK(BM_CompositionRepair)
-    ->Args({2, 16})
-    ->Args({5, 16})
-    ->Args({5, 64});
+BENCHMARK(BM_SubstreamSolve)->Args({2, 16})->Args({5, 16})->Args({5, 64});
 
 }  // namespace
 

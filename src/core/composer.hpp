@@ -13,6 +13,8 @@
 
 namespace rasc::core {
 
+class LatencyModel;
+
 /// Everything a composer sees: the request, the discovered providers per
 /// service with their latest stats snapshots, the endpoints' stats, and
 /// the service catalog (for rate ratios / unit-size factors).
@@ -82,5 +84,13 @@ class ResidualTracker {
   };
   std::map<sim::NodeIndex, Entry> entries_;
 };
+
+/// Latency SLO admission: with a deadline and a `model`, predicts
+/// `result->plan`'s end-to-end latency from the input's snapshots (the
+/// plan is not in them yet) and, when it misses the deadline, turns
+/// `result` into a rejection and returns false.
+bool admit_predicted_latency(const ComposeInput& input,
+                             const LatencyModel* model,
+                             ComposeResult* result);
 
 }  // namespace rasc::core

@@ -1,7 +1,6 @@
 #include "core/gossip_composer.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "core/latency_model.hpp"
@@ -164,28 +163,8 @@ ComposeResult GossipComposer::compose(const ComposeInput& input) {
 
   // Latency SLO admission over the finished chain (same semantics as
   // MinCostComposer: the candidate plan is not in the snapshots yet).
-  if (req.deadline_ms > 0 && options_.latency_model != nullptr) {
-    std::map<sim::NodeIndex, const monitor::NodeStats*> by_node;
-    for (const auto& [service, stats] : input.providers) {
-      for (const auto& s : stats) by_node.emplace(s.node, &s);
-    }
-    by_node.emplace(input.source_stats.node, &input.source_stats);
-    by_node.emplace(input.destination_stats.node, &input.destination_stats);
-    const double predicted = options_.latency_model->predict_ms(
-        result.plan,
-        [&by_node](sim::NodeIndex n) -> const monitor::NodeStats* {
-          const auto it = by_node.find(n);
-          return it == by_node.end() ? nullptr : it->second;
-        });
-    result.predicted_latency_ms = predicted;
-    if (!(predicted <= req.deadline_ms)) {
-      std::ostringstream os;
-      os << "predicted latency " << predicted << " ms exceeds deadline "
-         << req.deadline_ms << " ms";
-      result.error = os.str();
-      result.plan = {};
-      return result;
-    }
+  if (!admit_predicted_latency(input, options_.latency_model, &result)) {
+    return result;
   }
 
   result.admitted = true;

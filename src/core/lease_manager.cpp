@@ -112,7 +112,7 @@ monitor::NodeStats LeaseManager::leased_stats(sim::NodeIndex node) const {
   // a plan that overfills by the tolerated 2% would compose fine and then
   // NACK at the granter.
   const double slack =
-      ResidualTracker::kDefaultHeadroom * MinCostComposer::kRepairTolerance;
+      ResidualTracker::kDefaultHeadroom * SubstreamSolver::kRepairTolerance;
   s.capacity_in_kbps = v.in_kbps / slack;
   s.capacity_out_kbps = v.out_kbps / slack;
   s.used_in_kbps = 0;

@@ -1,92 +1,150 @@
 #include "core/mincost_composer.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "core/composition_graph.hpp"
 #include "core/latency_model.hpp"
 #include "core/plan_math.hpp"
-#include "util/logging.hpp"
 
 namespace rasc::core {
 
-namespace {
-
-/// Per-node wire-bandwidth usage of a candidate share set within one
-/// substream (for the repair pass).
-struct NodeUsage {
-  double in_kbps = 0;
-  double out_kbps = 0;
-  double cpu_fraction = 0;
-  bool touched = false;
-};
-
-/// Flat-vector usage accumulator keyed by node index. Node indices are
-/// dense world slots, so a vector + touched list beats a std::map in the
-/// repair loop, which rebuilds usage on every iteration.
-class NodeUsageTable {
- public:
-  void reset() {
-    for (const auto node : touched_) usage_[std::size_t(node)] = {};
-    touched_.clear();
-  }
-
-  NodeUsage& at(sim::NodeIndex node) {
-    const auto i = std::size_t(node);
-    if (i >= usage_.size()) usage_.resize(i + 1);
-    NodeUsage& u = usage_[i];
-    if (!u.touched) {
-      u.touched = true;
-      touched_.push_back(node);
-    }
-    return u;
-  }
-
-  const NodeUsage& get(sim::NodeIndex node) const {
-    return usage_[std::size_t(node)];
-  }
-
-  /// Nodes with nonzero usage, in first-touch order (deterministic).
-  const std::vector<sim::NodeIndex>& touched() const { return touched_; }
-
-  void accumulate(
-      const std::vector<std::vector<runtime::Placement>>& shares,
-      const SubstreamMath& math) {
-    reset();
-    for (std::size_t st = 0; st < shares.size(); ++st) {
-      for (const auto& p : shares[st]) {
-        NodeUsage& u = at(p.node);
-        u.in_kbps += math.wire_in_kbps(int(st), p.rate_units_per_sec);
-        u.out_kbps += math.wire_out_kbps(int(st), p.rate_units_per_sec);
-        u.cpu_fraction += math.in_ups(int(st), p.rate_units_per_sec) *
-                          math.cpu_secs_per_in_unit(int(st));
+void SubstreamSolver::accumulate(
+    const std::vector<std::vector<runtime::Placement>>& shares,
+    const SubstreamMath& math) {
+  for (const auto node : touched_) usage_[std::size_t(node)] = {};
+  touched_.clear();
+  for (std::size_t st = 0; st < shares.size(); ++st) {
+    for (const auto& p : shares[st]) {
+      const auto i = std::size_t(p.node);
+      if (i >= usage_.size()) usage_.resize(i + 1);
+      NodeUsage& u = usage_[i];
+      if (!u.touched) {
+        u.touched = true;
+        touched_.push_back(p.node);
       }
+      u.in_kbps += math.wire_in_kbps(int(st), p.rate_units_per_sec);
+      u.out_kbps += math.wire_out_kbps(int(st), p.rate_units_per_sec);
+      u.cpu_fraction += math.in_ups(int(st), p.rate_units_per_sec) *
+                        math.cpu_secs_per_in_unit(int(st));
     }
   }
-
- private:
-  std::vector<NodeUsage> usage_;
-  std::vector<sim::NodeIndex> touched_;
-};
-
-/// Freshest-known stats per node across the whole compose input (for
-/// latency prediction; first snapshot seen per node wins).
-std::map<sim::NodeIndex, const monitor::NodeStats*> stats_by_node(
-    const ComposeInput& input) {
-  std::map<sim::NodeIndex, const monitor::NodeStats*> out;
-  for (const auto& [service, stats] : input.providers) {
-    for (const auto& s : stats) out.emplace(s.node, &s);
-  }
-  out.emplace(input.source_stats.node, &input.source_stats);
-  out.emplace(input.destination_stats.node, &input.destination_stats);
-  return out;
 }
 
-}  // namespace
+void SubstreamSolver::consume(
+    const std::vector<std::vector<runtime::Placement>>& shares,
+    const SubstreamMath& math, const ServiceRequest& request, double demand,
+    ResidualTracker& tracker) {
+  accumulate(shares, math);
+  for (const auto node : touched_) {
+    const NodeUsage& u = usage_[std::size_t(node)];
+    tracker.consume(node, u.in_kbps, u.out_kbps, u.cpu_fraction);
+  }
+  tracker.consume(request.source, 0, math.wire_in_kbps(0, demand));
+  tracker.consume(request.destination,
+                  math.wire_in_kbps(math.num_stages(), demand), 0);
+}
+
+SubstreamSolver::Result SubstreamSolver::solve(
+    CompositionGraph& graph,
+    const std::vector<std::vector<CandidateCap>>& stages,
+    const SubstreamMath& math, const ServiceRequest& request, double demand,
+    ResidualTracker& tracker, const CpuBudget& cpu_budget) {
+  Result result;
+  const int k = math.num_stages();
+  // Per (stage, candidate) multiplicative tightening factor.
+  std::vector<std::vector<double>> tighten;
+  for (const auto& cands : stages) tighten.emplace_back(cands.size(), 1.0);
+  // Candidates whose tighten factor changed since the last solve.
+  std::vector<std::pair<int, int>> dirty;
+  flow::SolveOptions solve_options;
+  solve_options.assume_nonnegative_costs = true;  // costs = drop ratios
+  solve_options.warm_start = true;
+
+  // The graph is never rebuilt: repair iterations tighten splitting-arc
+  // capacities in place and re-solve with warm-started potentials.
+  for (int iter = 0; iter < kMaxRepairIterations; ++iter) {
+    if (iter > 0) {
+      graph.reset_flow();
+      for (const auto& [st, j] : dirty) {
+        graph.set_candidate_cap(
+            st, j,
+            stages[std::size_t(st)][std::size_t(j)].max_delivered_ups *
+                tighten[std::size_t(st)][std::size_t(j)]);
+      }
+      dirty.clear();
+    }
+    result.last = ssp_.solve(graph.graph(), graph.source(), graph.sink(),
+                             graph.demand(), solve_options);
+    if (!result.last.feasible) {
+      result.status = Status::kInfeasible;
+      return result;
+    }
+    // Repair runs on the raw (unfolded) flow decomposition: folding
+    // slivers first would shuffle rate between candidates and keep the
+    // loop from converging. Folding is applied once a solution passes.
+    const auto raw_shares = graph.extract_shares(0.0);
+
+    // Repair: does any physical node exceed its residual budget because
+    // it hosts instances at several stages of this substream?
+    accumulate(raw_shares, math);
+    bool violated = false;
+    for (const auto node : touched_) {
+      const NodeUsage& u = usage_[std::size_t(node)];
+      const double ai = tracker.avail_in_kbps(node);
+      const double ao = tracker.avail_out_kbps(node);
+      double factor = 1.0;
+      if (u.in_kbps > ai * kRepairTolerance) {
+        factor = std::min(factor, ai / u.in_kbps);
+      }
+      if (u.out_kbps > ao * kRepairTolerance) {
+        factor = std::min(factor, ao / u.out_kbps);
+      }
+      if (cpu_budget && u.cpu_fraction > 0) {
+        const double allowed = cpu_budget(node);
+        if (u.cpu_fraction > allowed * kRepairTolerance) {
+          factor = std::min(factor, allowed / u.cpu_fraction);
+        }
+      }
+      if (factor >= 1.0) continue;
+      violated = true;
+      // Tighten each of the node's *used* instances to its current share
+      // scaled by the factor — this pins the node's total next round to
+      // <= its budget, so the loop converges in O(1) iterations instead
+      // of geometrically.
+      for (int st = 0; st < k; ++st) {
+        // Shares are in delivered ups, same units as candidate caps.
+        double share_delivered = 0;
+        for (const auto& p : raw_shares[std::size_t(st)]) {
+          if (p.node == node) share_delivered = p.rate_units_per_sec;
+        }
+        if (share_delivered <= 0) continue;
+        const auto& cands = stages[std::size_t(st)];
+        auto& factors = tighten[std::size_t(st)];
+        for (std::size_t j = 0; j < cands.size(); ++j) {
+          if (cands[j].node != node) continue;
+          const double original = cands[j].max_delivered_ups;
+          if (original <= 0) continue;
+          const double target = share_delivered * factor;
+          const double tightened = std::min(factors[j], target / original);
+          if (tightened < factors[j]) {
+            factors[j] = tightened;
+            dirty.emplace_back(st, int(j));
+          }
+        }
+      }
+    }
+    if (!violated) {
+      result.status = Status::kSolved;
+      result.shares = graph.extract_shares(kMinShareFraction);
+      consume(result.shares, math, request, demand, tracker);
+      return result;
+    }
+  }
+  result.status = Status::kRepairFailed;
+  return result;
+}
 
 ComposeResult MinCostComposer::compose(const ComposeInput& input) {
   ComposeResult result;
@@ -103,7 +161,6 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
   const auto& req = input.request;
   std::vector<std::vector<std::vector<runtime::Placement>>> all_shares;
   all_shares.reserve(req.substreams.size());
-  NodeUsageTable usage;
 
   for (std::size_t ss = 0; ss < req.substreams.size(); ++ss) {
     const auto& sub = req.substreams[ss];
@@ -113,9 +170,6 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
 
     // Candidate capacities from residual availability.
     auto stages = std::vector<std::vector<CandidateCap>>(std::size_t(k));
-    // Per (stage, candidate) multiplicative tightening factor used by the
-    // repair loop.
-    auto tighten = std::vector<std::vector<double>>(std::size_t(k));
     for (int st = 0; st < k; ++st) {
       const auto it = input.providers.find(sub.services[std::size_t(st)]);
       if (it == input.providers.end() || it->second.empty()) {
@@ -127,13 +181,10 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
         CandidateCap cand;
         cand.node = stats.node;
         cand.max_delivered_ups = math.max_delivered_ups(
-            st,
-            tracker.avail_in_kbps(stats.node) * options_.utilization_target,
-            tracker.avail_out_kbps(stats.node) * options_.utilization_target,
-            options_.consider_cpu
-                ? tracker.avail_cpu_fraction(stats.node) *
-                      options_.utilization_target
-                : -1.0);
+            st, tracker.avail_in_kbps(stats.node),
+            tracker.avail_out_kbps(stats.node),
+            options_.consider_cpu ? tracker.avail_cpu_fraction(stats.node)
+                                  : -1.0);
         // Latency SLO: a CPU-saturated node has no steady-state queue, so
         // its predicted delay is unbounded — price it as unusable.
         if (req.deadline_ms > 0 && options_.latency_model != nullptr &&
@@ -153,7 +204,6 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
                                        cap_total;
         }
         stages[std::size_t(st)].push_back(cand);
-        tighten[std::size_t(st)].push_back(1.0);
       }
     }
 
@@ -162,9 +212,6 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
     const double dest_cap =
         tracker.avail_in_kbps(req.destination) / math.wire_in_kbps(k, 1.0);
 
-    std::vector<std::vector<runtime::Placement>> shares;
-    bool accepted = false;
-
     if (options_.single_instance_per_stage) {
       // Ablation mode: same cost model, but each stage must fit on one
       // node (cheapest candidate able to carry the full demand).
@@ -172,7 +219,8 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
         result.error = "endpoint capacity short (no-split mode)";
         return result;
       }
-      shares.assign(std::size_t(k), {});
+      auto shares =
+          std::vector<std::vector<runtime::Placement>>(std::size_t(k));
       for (int st = 0; st < k; ++st) {
         const CandidateCap* best = nullptr;
         for (const auto& cand : stages[std::size_t(st)]) {
@@ -191,145 +239,35 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
         shares[std::size_t(st)].push_back(
             runtime::Placement{best->node, demand});
       }
-      accepted = true;
+      solver_.consume(shares, math, req, demand, tracker);
+      all_shares.push_back(std::move(shares));
+      continue;
     }
 
-    // One persistent flow network per substream. Repair iterations tighten
-    // splitting-arc capacities in place and re-solve with warm-started
-    // potentials; the graph is never rebuilt.
-    std::optional<CompositionGraph> cg;
-    if (!accepted) cg.emplace(stages, src_cap, dest_cap, demand);
-    // Candidates whose tighten factor changed since the last solve.
-    std::vector<std::pair<int, int>> dirty;
-
-    for (int iter = 0;
-         !accepted && iter < options_.max_repair_iterations; ++iter) {
-      if (iter > 0) {
-        cg->reset_flow();
-        for (const auto& [st, j] : dirty) {
-          cg->set_candidate_cap(
-              st, j,
-              stages[std::size_t(st)][std::size_t(j)].max_delivered_ups *
-                  tighten[std::size_t(st)][std::size_t(j)]);
-        }
-        dirty.clear();
-      }
-      flow::SolveOptions solve_options;
-      solve_options.assume_nonnegative_costs = true;  // costs = drop ratios
-      solve_options.warm_start = true;
-      const auto solved = ssp_.solve(cg->graph(), cg->source(), cg->sink(),
-                                     cg->demand(), solve_options);
-      if (!solved.feasible) {
-        std::ostringstream os;
-        os << "insufficient capacity for substream " << ss << ": routed "
-           << solved.flow << "/" << demand * CompositionGraph::kScale
-           << " (src_cap=" << src_cap << " dest_cap=" << dest_cap << ")";
-        result.error = os.str();
-        return result;
-      }
-      // Repair runs on the raw (unfolded) flow decomposition: folding
-      // slivers first would shuffle rate between candidates and keep the
-      // loop from converging. Folding is applied once a solution passes.
-      const auto raw_shares = cg->extract_shares(0.0);
-
-      // Repair: does any physical node exceed its residual budget because
-      // it hosts instances at several stages of this substream?
-      usage.accumulate(raw_shares, math);
-      bool violated = false;
-      for (const auto node : usage.touched()) {
-        const NodeUsage& u = usage.get(node);
-        const double ai =
-            tracker.avail_in_kbps(node) * options_.utilization_target;
-        const double ao =
-            tracker.avail_out_kbps(node) * options_.utilization_target;
-        double factor = 1.0;
-        if (u.in_kbps > ai * kRepairTolerance) {
-          factor = std::min(factor, ai / u.in_kbps);
-        }
-        if (u.out_kbps > ao * kRepairTolerance) {
-          factor = std::min(factor, ao / u.out_kbps);
-        }
-        if (factor < 1.0) {
-          violated = true;
-          // Tighten each of the node's *used* instances to its current
-          // share scaled by the factor — this pins the node's total next
-          // round to <= its budget, so the loop converges in O(1)
-          // iterations instead of geometrically.
-          for (int st = 0; st < k; ++st) {
-            // Shares are in delivered ups, same units as candidate caps.
-            double share_delivered = 0;
-            for (const auto& p : raw_shares[std::size_t(st)]) {
-              if (p.node == node) share_delivered = p.rate_units_per_sec;
-            }
-            if (share_delivered <= 0) continue;
-            for (std::size_t j = 0; j < stages[std::size_t(st)].size();
-                 ++j) {
-              if (stages[std::size_t(st)][j].node != node) continue;
-              const double original =
-                  stages[std::size_t(st)][j].max_delivered_ups;
-              if (original <= 0) continue;
-              const double target = share_delivered * factor;
-              const double tightened =
-                  std::min(tighten[std::size_t(st)][j], target / original);
-              if (tightened < tighten[std::size_t(st)][j]) {
-                tighten[std::size_t(st)][j] = tightened;
-                dirty.emplace_back(st, int(j));
-              }
-            }
-          }
-        }
-      }
-      if (!violated) {
-        shares = cg->extract_shares(options_.min_share_fraction);
-        result.objective += solved.cost;
-        accepted = true;
-        break;
-      }
-      RASC_LOG(kDebug) << "mincost repair iteration " << iter
-                       << " for substream " << ss;
+    CompositionGraph cg(stages, src_cap, dest_cap, demand);
+    auto solved = solver_.solve(cg, stages, math, req, demand, tracker);
+    if (solved.status == SubstreamSolver::Status::kInfeasible) {
+      std::ostringstream os;
+      os << "insufficient capacity for substream " << ss << ": routed "
+         << solved.last.flow << "/" << demand * CompositionGraph::kScale
+         << " (src_cap=" << src_cap << " dest_cap=" << dest_cap << ")";
+      result.error = os.str();
+      return result;
     }
-    if (!accepted) {
+    if (solved.status == SubstreamSolver::Status::kRepairFailed) {
       result.error = "capacity repair failed for substream " +
                      std::to_string(ss);
       return result;
     }
-
-    // Algorithm 1: "Update the node capacities" before the next substream.
-    usage.accumulate(shares, math);
-    for (const auto node : usage.touched()) {
-      const NodeUsage& u = usage.get(node);
-      tracker.consume(node, u.in_kbps, u.out_kbps, u.cpu_fraction);
-    }
-    tracker.consume(req.source, 0, math.wire_in_kbps(0, demand));
-    tracker.consume(req.destination, math.wire_in_kbps(k, demand), 0);
-
-    all_shares.push_back(std::move(shares));
+    result.objective += solved.last.cost;
+    all_shares.push_back(std::move(solved.shares));
   }
 
   result.plan = build_app_plan(req, *input.catalog, all_shares);
-
-  // Latency SLO admission: reject plans whose predicted end-to-end delay
-  // violates the request's deadline. Base utilization comes from the
-  // snapshots (this candidate plan is not reflected there yet).
-  if (req.deadline_ms > 0 && options_.latency_model != nullptr) {
-    const auto stats = stats_by_node(input);
-    const double predicted = options_.latency_model->predict_ms(
-        result.plan, [&stats](sim::NodeIndex n) -> const monitor::NodeStats* {
-          const auto it = stats.find(n);
-          return it == stats.end() ? nullptr : it->second;
-        });
-    result.predicted_latency_ms = predicted;
-    if (!(predicted <= req.deadline_ms)) {
-      std::ostringstream os;
-      os << "predicted latency " << predicted << " ms exceeds deadline "
-         << req.deadline_ms << " ms";
-      result.error = os.str();
-      result.plan = {};
-      result.objective = 0;
-      return result;
-    }
+  // Latency SLO admission: base utilization comes from the snapshots.
+  if (!admit_predicted_latency(input, options_.latency_model, &result)) {
+    return result;
   }
-
   result.admitted = true;
   return result;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/composer.hpp"
-
 namespace rasc::core {
 
 double wire_kbps(double ups, double unit_bytes) {
@@ -138,58 +136,6 @@ std::map<sim::NodeIndex, LeaseDebit> leased_plan_bandwidth(
         wire_kbps(sub.rate_units_per_sec, double(sink_unit));
   }
   return debits;
-}
-
-ResidualTracker::ResidualTracker(const ComposeInput& input,
-                                 double headroom) {
-  auto note = [this, headroom](const monitor::NodeStats& s) {
-    if (s.node < 0) return;
-    auto& e = entries_[s.node];  // last writer wins; snapshots agree
-    e.avail_in = s.available_in_kbps() * headroom;
-    e.avail_out = s.available_out_kbps() * headroom;
-    e.avail_cpu = s.available_cpu_fraction() * headroom;
-    e.drop_ratio = s.drop_ratio;
-    e.drop_known = s.drop_samples > 0;
-  };
-  for (const auto& [service, stats] : input.providers) {
-    (void)service;
-    for (const auto& s : stats) note(s);
-  }
-  note(input.source_stats);
-  note(input.destination_stats);
-}
-
-double ResidualTracker::avail_in_kbps(sim::NodeIndex node) const {
-  const auto it = entries_.find(node);
-  return it == entries_.end() ? 0.0 : it->second.avail_in;
-}
-
-double ResidualTracker::avail_out_kbps(sim::NodeIndex node) const {
-  const auto it = entries_.find(node);
-  return it == entries_.end() ? 0.0 : it->second.avail_out;
-}
-
-double ResidualTracker::drop_ratio(sim::NodeIndex node) const {
-  const auto it = entries_.find(node);
-  return it == entries_.end() ? 1.0 : it->second.drop_ratio;
-}
-
-bool ResidualTracker::drop_known(sim::NodeIndex node) const {
-  const auto it = entries_.find(node);
-  return it != entries_.end() && it->second.drop_known;
-}
-
-double ResidualTracker::avail_cpu_fraction(sim::NodeIndex node) const {
-  const auto it = entries_.find(node);
-  return it == entries_.end() ? 0.0 : it->second.avail_cpu;
-}
-
-void ResidualTracker::consume(sim::NodeIndex node, double in_kbps,
-                              double out_kbps, double cpu_fraction) {
-  auto& e = entries_[node];
-  e.avail_in = std::max(0.0, e.avail_in - in_kbps);
-  e.avail_out = std::max(0.0, e.avail_out - out_kbps);
-  e.avail_cpu = std::max(0.0, e.avail_cpu - cpu_fraction);
 }
 
 }  // namespace rasc::core

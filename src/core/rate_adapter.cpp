@@ -39,30 +39,6 @@ bool same_placements(const std::vector<runtime::Placement>& a,
   return true;
 }
 
-/// Per-node wire/CPU usage of one substream's candidate shares (same
-/// accumulator shape the composer's repair pass uses).
-struct NodeUsage {
-  double in_kbps = 0;
-  double out_kbps = 0;
-  double cpu_fraction = 0;
-};
-
-std::map<sim::NodeIndex, NodeUsage> accumulate_usage(
-    const std::vector<std::vector<runtime::Placement>>& shares,
-    const SubstreamMath& math) {
-  std::map<sim::NodeIndex, NodeUsage> usage;
-  for (std::size_t st = 0; st < shares.size(); ++st) {
-    for (const auto& p : shares[st]) {
-      NodeUsage& u = usage[p.node];
-      u.in_kbps += math.wire_in_kbps(int(st), p.rate_units_per_sec);
-      u.out_kbps += math.wire_out_kbps(int(st), p.rate_units_per_sec);
-      u.cpu_fraction += math.in_ups(int(st), p.rate_units_per_sec) *
-                        math.cpu_secs_per_in_unit(int(st));
-    }
-  }
-  return usage;
-}
-
 }  // namespace
 
 RateAdapter::RateAdapter(sim::Simulator& simulator, sim::Network& network,
@@ -112,8 +88,7 @@ void RateAdapter::track(
   for (const auto& sub : request.substreams) {
     SubstreamState state;
     const int k = int(sub.services.size());
-    state.candidates.resize(std::size_t(k));
-    auto stages = std::vector<std::vector<CandidateCap>>(std::size_t(k));
+    state.stages.resize(std::size_t(k));
     for (int st = 0; st < k; ++st) {
       const auto it = t->providers.find(sub.services[std::size_t(st)]);
       if (it == t->providers.end() || it->second.empty()) {
@@ -123,13 +98,12 @@ void RateAdapter::track(
         return;
       }
       for (const sim::NodeIndex node : it->second) {
-        state.candidates[std::size_t(st)].push_back(node);
-        stages[std::size_t(st)].push_back(CandidateCap{node, 0, 0, 0});
+        state.stages[std::size_t(st)].push_back(CandidateCap{node, 0, 0, 0});
       }
     }
     const SubstreamMath math(sub, catalog_, request.unit_bytes);
     state.graph = std::make_unique<CompositionGraph>(
-        stages, 0, 0, math.delivered_ups(sub.rate_kbps));
+        state.stages, 0, 0, math.delivered_ups(sub.rate_kbps));
     t->substreams.push_back(std::move(state));
   }
 
@@ -398,7 +372,22 @@ bool RateAdapter::resolve(
     }
   }
   ResidualTracker tracker(input);
-  const MinCostComposer::Options& opt = params_.cost;
+
+  // Latency-aware rounds also repair aggregate CPU: the bandwidth-only
+  // repair happily stacks several stages of this very app on one node,
+  // and an M/G/1 wait at the stacked rho is exactly the predicted
+  // violation that triggered this round. Budget: rho target less base.
+  SubstreamSolver::CpuBudget cpu_budget;
+  if (latency_aware) {
+    cpu_budget = [&by_node](sim::NodeIndex node) {
+      const auto bit = by_node.find(node);
+      const double base_rho =
+          bit == by_node.end() ? 0.0
+                               : std::max(bit->second.cpu_used_fraction,
+                                          bit->second.cpu_reserved_fraction);
+      return std::max(0.0, kPredictiveRhoTarget - base_rho);
+    };
+  }
 
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t ss = 0; ss < t.request.substreams.size(); ++ss) {
@@ -412,28 +401,17 @@ bool RateAdapter::resolve(
     // Fresh capacities and costs on the persistent graph. A candidate
     // whose stats query failed is priced as unusable, not unknown.
     cg.reset_flow();
-    auto caps = std::vector<std::vector<double>>(std::size_t(k));
-    auto tighten = std::vector<std::vector<double>>(std::size_t(k));
-    // Per-stage unit costs, reused to price the deployed plan below.
-    auto costs =
-        std::vector<std::map<sim::NodeIndex, flow::Cost>>(std::size_t(k));
     for (int st = 0; st < k; ++st) {
-      const auto& cand_nodes = state.candidates[std::size_t(st)];
-      caps[std::size_t(st)].resize(cand_nodes.size(), 0.0);
-      tighten[std::size_t(st)].assign(cand_nodes.size(), 1.0);
-      for (std::size_t j = 0; j < cand_nodes.size(); ++j) {
-        const sim::NodeIndex node = cand_nodes[j];
+      auto& cands = state.stages[std::size_t(st)];
+      for (std::size_t j = 0; j < cands.size(); ++j) {
+        const sim::NodeIndex node = cands[j].node;
         const auto bit = by_node.find(node);
         double cap = 0, drop = 1.0, util = 1.0;
         if (bit != by_node.end()) {
-          cap = math.max_delivered_ups(
-              st, tracker.avail_in_kbps(node) * opt.utilization_target,
-              tracker.avail_out_kbps(node) * opt.utilization_target,
-              opt.consider_cpu ? tracker.avail_cpu_fraction(node) *
-                                     opt.utilization_target
-                               : -1.0);
-          drop = tracker.drop_known(node) ? tracker.drop_ratio(node)
-                                          : opt.unknown_drop_prior;
+          cap = math.max_delivered_ups(st, tracker.avail_in_kbps(node),
+                                       tracker.avail_out_kbps(node),
+                                       tracker.avail_cpu_fraction(node));
+          drop = tracker.drop_known(node) ? tracker.drop_ratio(node) : 0.0;
           const double cap_total = bit->second.capacity_in_kbps +
                                    bit->second.capacity_out_kbps;
           util = cap_total > 0
@@ -457,11 +435,9 @@ bool RateAdapter::resolve(
             }
           }
         }
-        caps[std::size_t(st)][j] = cap;
+        cands[j] = CandidateCap{node, cap, drop, util};
         cg.set_candidate_cap(st, int(j), cap);
         cg.set_candidate_cost(st, int(j), drop, util);
-        costs[std::size_t(st)].emplace(
-            node, CompositionGraph::unit_cost(drop, util));
       }
     }
     cg.set_source_cap(tracker.avail_out_kbps(t.request.source) /
@@ -469,118 +445,33 @@ bool RateAdapter::resolve(
     cg.set_dest_cap(tracker.avail_in_kbps(t.request.destination) /
                     math.wire_in_kbps(k, 1.0));
 
-    // Solve + the composer's capacity-repair loop: tighten the splitting
-    // arcs of any physical node that several stages overload together.
-    std::vector<std::vector<runtime::Placement>> accepted_shares;
-    bool accepted = false;
-    std::vector<std::pair<int, int>> dirty;
-    for (int iter = 0; !accepted && iter < opt.max_repair_iterations;
-         ++iter) {
-      if (iter > 0) {
-        cg.reset_flow();
-        for (const auto& [st, j] : dirty) {
-          cg.set_candidate_cap(st, j,
-                               caps[std::size_t(st)][std::size_t(j)] *
-                                   tighten[std::size_t(st)][std::size_t(j)]);
-        }
-        dirty.clear();
-      }
-      flow::SolveOptions solve_options;
-      solve_options.assume_nonnegative_costs = true;
-      solve_options.warm_start = true;
-      const auto solved =
-          ssp_.solve(cg.graph(), cg.source(), cg.sink(), cg.demand(),
-                     solve_options);
-      if (!solved.feasible) return false;
-      const auto raw_shares = cg.extract_shares(0.0);
-      const auto usage = accumulate_usage(raw_shares, math);
-      bool violated = false;
-      for (const auto& [node, u] : usage) {
-        const double ai =
-            tracker.avail_in_kbps(node) * opt.utilization_target;
-        const double ao =
-            tracker.avail_out_kbps(node) * opt.utilization_target;
-        double factor = 1.0;
-        if (u.in_kbps > ai * 1.02) factor = std::min(factor, ai / u.in_kbps);
-        if (u.out_kbps > ao * 1.02) {
-          factor = std::min(factor, ao / u.out_kbps);
-        }
-        if (latency_aware && u.cpu_fraction > 0) {
-          // The bandwidth-only repair happily stacks several stages of
-          // this very app on one node — per-stage costs cannot see the
-          // aggregate, and an M/G/1 wait at the stacked rho is exactly
-          // the predicted violation that triggered this round. Repair
-          // aggregate CPU (base load plus the candidate's own planned
-          // CPU) against the rho budget so the flow spreads instead.
-          const auto bit = by_node.find(node);
-          const double base_rho =
-              bit == by_node.end()
-                  ? 0.0
-                  : std::max(bit->second.cpu_used_fraction,
-                             bit->second.cpu_reserved_fraction);
-          const double allowed =
-              std::max(0.0, params_.predictive_rho_target - base_rho);
-          if (u.cpu_fraction > allowed * 1.02) {
-            factor = std::min(factor, allowed / u.cpu_fraction);
-          }
-        }
-        if (factor >= 1.0) continue;
-        violated = true;
-        for (int st = 0; st < k; ++st) {
-          double share_delivered = 0;
-          for (const auto& p : raw_shares[std::size_t(st)]) {
-            if (p.node == node) share_delivered = p.rate_units_per_sec;
-          }
-          if (share_delivered <= 0) continue;
-          const auto& cand_nodes = state.candidates[std::size_t(st)];
-          for (std::size_t j = 0; j < cand_nodes.size(); ++j) {
-            if (cand_nodes[j] != node) continue;
-            const double original = caps[std::size_t(st)][j];
-            if (original <= 0) continue;
-            const double target = share_delivered * factor;
-            const double tightened =
-                std::min(tighten[std::size_t(st)][j], target / original);
-            if (tightened < tighten[std::size_t(st)][j]) {
-              tighten[std::size_t(st)][j] = tightened;
-              dirty.emplace_back(st, int(j));
-            }
-          }
-        }
-      }
-      if (!violated) {
-        accepted_shares = cg.extract_shares(opt.min_share_fraction);
-        *new_cost += solved.cost;
-        accepted = true;
-      }
-    }
-    if (!accepted) return false;
+    auto solved = solver_.solve(cg, state.stages, math, t.request, demand,
+                                tracker, cpu_budget);
+    if (solved.status != SubstreamSolver::Status::kSolved) return false;
+    *new_cost += solved.last.cost;
 
     // Price the deployed plan's placements with this round's unit costs:
     // the hysteresis comparison must use one consistent cost model.
     const auto& plan_sub = t.plan.substreams[ss];
     for (std::size_t st = 0; st < plan_sub.stages.size(); ++st) {
+      const auto& cands = state.stages[st];
       for (const auto& p : plan_sub.stages[st].placements) {
         const double delivered =
             p.rate_units_per_sec / math.in_units_per_delivered(int(st));
-        const auto cit = costs[st].find(p.node);
+        const auto cit = std::find_if(
+            cands.begin(), cands.end(),
+            [&p](const CandidateCap& c) { return c.node == p.node; });
         // A deployed node outside the candidate set (cannot normally
         // happen) is priced as fully dropping.
         const flow::Cost unit =
-            cit != costs[st].end()
-                ? cit->second
+            cit != cands.end()
+                ? CompositionGraph::unit_cost(cit->drop_ratio,
+                                              cit->utilization)
                 : CompositionGraph::unit_cost(1.0, 1.0);
         *current_cost += unit * CompositionGraph::flow_units(delivered);
       }
     }
-
-    // Algorithm 1's capacity update before the next substream.
-    const auto usage = accumulate_usage(accepted_shares, math);
-    for (const auto& [node, u] : usage) {
-      tracker.consume(node, u.in_kbps, u.out_kbps, u.cpu_fraction);
-    }
-    tracker.consume(t.request.source, 0, math.wire_in_kbps(0, demand));
-    tracker.consume(t.request.destination, math.wire_in_kbps(k, demand), 0);
-    shares->push_back(std::move(accepted_shares));
+    shares->push_back(std::move(solved.shares));
   }
   solve_us_->observe(double(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -662,7 +553,7 @@ int RateAdapter::ship_deltas(Tracked& t, const runtime::AppPlan& new_plan) {
         // old instance drain instead of counting unroutable.
         std::weak_ptr<bool> alive = alive_;
         const sim::NodeIndex target = o.node;
-        simulator_.call_after(params_.remove_grace,
+        simulator_.call_after(kRemoveGrace,
                               [this, alive, target, key] {
                                 if (alive.expired()) return;
                                 auto msg = std::make_shared<

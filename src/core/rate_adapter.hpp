@@ -8,10 +8,10 @@
 //   1. pull fresh windowed NodeStats from every provider + both endpoints,
 //   2. credit the app's own current usage back to those statistics (its
 //      deployed rates occupy capacity the re-plan is free to re-assign),
-//   3. re-solve each substream's min-cost flow on a *persistent*
-//      CompositionGraph — capacities and costs rewritten in place via
-//      set_candidate_cap / set_candidate_cost, warm-started SspSolver,
-//      the composer's capacity-repair loop — and
+//   3. re-solve each substream on a *persistent* CompositionGraph whose
+//      capacities and costs are rewritten in place from the fresh
+//      statistics, through the composer's own SubstreamSolver (warm-started
+//      solve, capacity-repair loop, Algorithm 1 residual update), and
 //   4. diff the solved plan against the deployed one, shipping *delta*
 //      deploy messages (rate-update / add-placement / remove-placement /
 //      source-split) so components change rate in place; no teardown.
@@ -33,7 +33,6 @@
 #include "core/composition_graph.hpp"
 #include "core/mincost_composer.hpp"
 #include "core/request.hpp"
-#include "flow/ssp.hpp"
 #include "monitor/stats_protocol.hpp"
 #include "obs/metric_registry.hpp"
 #include "runtime/plan.hpp"
@@ -45,6 +44,20 @@ namespace rasc::core {
 
 class RateAdapter {
  public:
+  /// Delay before retired placements are removed: in-flight units drain
+  /// while the (idle) component still exists.
+  static constexpr sim::SimDuration kRemoveGrace = sim::msec(500);
+  /// Per-node aggregate CPU utilization budget for latency-aware
+  /// re-solves (base load plus the candidate plan's own planned CPU).
+  /// The M/G/1 wait explodes as rho -> 1, so a triggered round's repair
+  /// loop tightens any node the candidate would push past this — the
+  /// flow spreads across providers instead of stacking stages on the
+  /// bandwidth-cheapest node (which is how a purely reactive round can
+  /// cook its own CPU hotspot).
+  static constexpr double kPredictiveRhoTarget = 0.7;
+
+  /// No cost-model knobs: re-solves price candidates like a default
+  /// MinCostComposer (CPU-aware, never-measured nodes drop-free).
   struct Params {
     /// Period of the per-app adaptation loop.
     sim::SimDuration interval = sim::sec(2);
@@ -53,12 +66,6 @@ class RateAdapter {
     double hysteresis = 0.05;
     /// Per-app quiet period after a shipped delta round.
     sim::SimDuration cooldown = sim::sec(4);
-    /// Delay before retired placements are removed: in-flight units drain
-    /// while the (idle) component still exists.
-    sim::SimDuration remove_grace = sim::msec(500);
-    /// Cost-model knobs shared with composition (utilization target,
-    /// CPU constraint, unknown-drop prior, share folding).
-    MinCostComposer::Options cost;
     /// Predictive trigger: when true (and latency_model is set), every
     /// attempt also predicts the deployed plan's end-to-end latency from
     /// the round's credited statistics. A prediction past the request's
@@ -68,14 +75,6 @@ class RateAdapter {
     /// registry cells, byte-identical runs.
     bool predictive = false;
     const LatencyModel* latency_model = nullptr;
-    /// Per-node aggregate CPU utilization budget for latency-aware
-    /// re-solves (base load plus the candidate plan's own planned CPU).
-    /// The M/G/1 wait explodes as rho -> 1, so a triggered round's repair
-    /// loop tightens any node the candidate would push past this — the
-    /// flow spreads across providers instead of stacking stages on the
-    /// bandwidth-cheapest node (which is how a purely reactive round can
-    /// cook its own CPU hotspot).
-    double predictive_rho_target = 0.7;
   };
 
   /// Pluggable statistics source: invoked with the deduplicated target
@@ -133,8 +132,9 @@ class RateAdapter {
   /// Fixed candidate universe of one substream, pinned at track() time,
   /// plus its persistent flow network.
   struct SubstreamState {
-    /// Candidate node per (stage, index); index order matches the graph.
-    std::vector<std::vector<sim::NodeIndex>> candidates;
+    /// Candidate per (stage, index), in graph order; each round rewrites
+    /// the capacity, drop ratio and utilization from fresh statistics.
+    std::vector<std::vector<CandidateCap>> stages;
     std::unique_ptr<CompositionGraph> graph;
   };
 
@@ -198,9 +198,9 @@ class RateAdapter {
   StatsProvider stats_provider_;
 
   std::map<runtime::AppId, std::unique_ptr<Tracked>> tracked_;
-  /// Reusable warm-started solver (workspaces survive across apps,
+  /// Reusable warm-started solve (workspaces survive across apps,
   /// substreams and repair iterations).
-  flow::SspSolver ssp_;
+  SubstreamSolver solver_;
   /// Outstanding-callback guard: stats replies may arrive after *this is
   /// gone; callbacks hold a weak_ptr to this token.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

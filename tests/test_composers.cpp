@@ -3,7 +3,9 @@
 // drop-ratio preferences, and baseline behaviours (§3.5, §4.1).
 #include "core/greedy_composer.hpp"
 #include "core/mincost_composer.hpp"
+#include "core/plan_math.hpp"
 #include "core/random_composer.hpp"
+#include "core/rate_adapter.hpp"
 
 #include <gtest/gtest.h>
 
@@ -227,6 +229,74 @@ TEST(MinCostComposer, RepairLoopHandlesSharedNodeAcrossStages) {
   for (const auto& [n, kbps] : in_kbps) {
     EXPECT_LE(kbps, 100.0 * 1.05) << "node " << n << " overcommitted";
   }
+}
+
+TEST(MinCostComposer, RepairLoopHandlesSharedNodeCpuBudget) {
+  const auto cat = catalog();
+  auto input = base_input(cat);
+  // Bandwidth is ample everywhere this time: node 1 offers both services
+  // drop-free, node 2 both at a 10% drop ratio. The chain a -> b at 100
+  // kbps needs 10 ups = 0.01 CPU per stage. Node 1 already runs at 0.69
+  // CPU, so under the adapter's rho target it has room for one stage's
+  // CPU, and stacking both stages there passes its budget.
+  input.request.substreams = {{{"a", "b"}, 100.0}};
+  auto loaded = node(1, 100000.0);
+  loaded.cpu_used_fraction = 0.69;
+  const auto lossy = node(2, 100000.0, 0.1);
+  input.providers["a"] = {loaded, lossy};
+  input.providers["b"] = {loaded, lossy};
+  const double allowed =
+      RateAdapter::kPredictiveRhoTarget - loaded.cpu_used_fraction;
+
+  const SubstreamMath math(input.request.substreams[0], cat, kUnitBytes);
+  const double demand = math.delivered_ups(100.0);
+  const auto solve = [&](const SubstreamSolver::CpuBudget& budget) {
+    ResidualTracker tracker(input);
+    auto stages = std::vector<std::vector<CandidateCap>>(2);
+    for (int st = 0; st < 2; ++st) {
+      for (const auto& s : input.providers[st == 0 ? "a" : "b"]) {
+        stages[std::size_t(st)].push_back(CandidateCap{
+            s.node,
+            math.max_delivered_ups(st, tracker.avail_in_kbps(s.node),
+                                   tracker.avail_out_kbps(s.node),
+                                   tracker.avail_cpu_fraction(s.node)),
+            s.drop_ratio, 0.0});
+      }
+    }
+    CompositionGraph cg(stages, 1000.0, 1000.0, demand);
+    SubstreamSolver solver;
+    return solver.solve(cg, stages, math, input.request, demand, tracker,
+                        budget);
+  };
+  const auto node1_cpu = [&](const SubstreamSolver::Result& r) {
+    double cpu = 0;
+    for (std::size_t st = 0; st < r.shares.size(); ++st) {
+      for (const auto& p : r.shares[st]) {
+        if (p.node != 1) continue;
+        cpu += math.in_ups(int(st), p.rate_units_per_sec) *
+               math.cpu_secs_per_in_unit(int(st));
+      }
+    }
+    return cpu;
+  };
+
+  // Without a budget the cheaper node takes both stages.
+  const auto stacked = solve({});
+  ASSERT_EQ(stacked.status, SubstreamSolver::Status::kSolved);
+  for (const auto& stage : stacked.shares) {
+    ASSERT_EQ(stage.size(), 1u);
+    EXPECT_EQ(stage[0].node, 1);
+  }
+  EXPECT_GT(node1_cpu(stacked), allowed * SubstreamSolver::kRepairTolerance);
+
+  // With it, the repair loop moves rate off node 1 in both stages.
+  const auto split = solve([&](sim::NodeIndex n) {
+    return n == 1 ? allowed : RateAdapter::kPredictiveRhoTarget;
+  });
+  ASSERT_EQ(split.status, SubstreamSolver::Status::kSolved);
+  for (const auto& stage : split.shares) EXPECT_EQ(stage.size(), 2u);
+  EXPECT_GT(node1_cpu(split), 0.0);
+  EXPECT_LE(node1_cpu(split), allowed * SubstreamSolver::kRepairTolerance);
 }
 
 TEST(GreedyComposer, PicksLowestDropWithCapacity) {
