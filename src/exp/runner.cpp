@@ -332,6 +332,7 @@ RunMetrics run_experiment(const RunConfig& config,
   }
 
   simulator.run_until(run_end);
+  metrics.sim_events = std::int64_t(simulator.processed_events());
 
   // Collect the §4.2 stream statistics from the live endpoints, in node
   // order. Sink stats are floating-point summaries whose merge order

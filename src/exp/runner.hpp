@@ -144,6 +144,8 @@ struct RunMetrics {
   std::int64_t unroutable = 0;
   /// Packets tail-dropped at access-link port queues (all kinds).
   std::int64_t drops_network = 0;
+  /// Events the world's simulator processed, overlay bootstrap included.
+  std::int64_t sim_events = 0;
 
   /// Chaos/resilience outcomes (all zero / -1 on plain runs).
   std::int64_t faults_injected = 0;

@@ -372,7 +372,15 @@ void NodeRuntime::deploy_component(const ComponentKey& key,
 
   auto component = std::make_unique<Component>(key, spec, rate_units_per_sec,
                                                std::move(next));
-  components_[key] = std::move(component);
+  auto& hosted = components_[key];
+  if (hosted) {
+    // A redeploy over a live instance (rate-adapter add, supervisor
+    // repair). Units already queued for the old instance still point at
+    // it: keep it alive so they dispatch and finish unroutable.
+    forget_running(hosted.get());
+    retired_.push_back(std::move(hosted));
+  }
+  hosted = std::move(component);
   component_reservations_[key] = {in_kbps, out_kbps};
   component_cpu_reservations_[key] = cpu_fraction;
   monitor_.add_reservation(in_kbps, out_kbps);
@@ -456,10 +464,14 @@ void NodeRuntime::remove_component(const ComponentKey& key) {
     monitor_.add_cpu_reservation(-cpu->second);
     component_cpu_reservations_.erase(cpu);
   }
+  forget_running(it->second.get());
   components_.erase(it);
   // Queued units of this instance point at the component just destroyed;
   // purge them before the scheduler can touch them (cf. teardown_app).
   const auto purged = scheduler_.purge_component(key);
+  std::erase_if(retired_, [&key](const std::unique_ptr<Component>& c) {
+    return c->key() == key;
+  });
   if (!purged.empty()) {
     for (const auto& p : purged) {
       units_unroutable_->add();
@@ -503,6 +515,7 @@ void NodeRuntime::teardown_app(AppId app) {
         monitor_.add_cpu_reservation(-cpu->second);
         component_cpu_reservations_.erase(cpu);
       }
+      forget_running(it->second.get());
       it = components_.erase(it);
     } else {
       ++it;
@@ -512,6 +525,9 @@ void NodeRuntime::teardown_app(AppId app) {
   // them out before the scheduler can dispatch (or expire) them. They
   // count as unroutable: their processing chain no longer exists.
   const auto purged = scheduler_.purge_app(app);
+  std::erase_if(retired_, [app](const std::unique_ptr<Component>& c) {
+    return c->key().app == app;
+  });
   if (!purged.empty()) {
     for (const auto& p : purged) {
       units_unroutable_->add();
@@ -661,21 +677,23 @@ void NodeRuntime::maybe_dispatch() {
                                  1.0 + spec.cpu_time_jitter));
   }
   if (actual < 1) actual = 1;
-  simulator_.call_after(
-      actual, [this, actual, job = std::move(*next)]() mutable {
-        finish_unit(std::move(job), actual);
-      });
+  running_ = std::move(*next);
+  for (const auto& retired : retired_) forget_running(retired.get());
+  simulator_.call_after(actual, [this, actual] { finish_unit(actual); });
 }
 
-void NodeRuntime::finish_unit(ScheduledUnit scheduled,
-                              sim::SimDuration actual) {
+void NodeRuntime::forget_running(const Component* component) {
+  if (cpu_busy_ && running_.component == component) {
+    running_.component = nullptr;
+  }
+}
+
+void NodeRuntime::finish_unit(sim::SimDuration actual) {
   cpu_busy_ = false;
-  // The app may have been torn down while this unit held the CPU; the
-  // raw component pointer would dangle. The CPU time was still spent.
-  const ComponentKey key{scheduled.unit->app, scheduled.unit->substream,
-                         scheduled.unit->stage};
-  const auto it = components_.find(key);
-  if (it == components_.end() || it->second.get() != scheduled.component) {
+  const ScheduledUnit scheduled = std::exchange(running_, ScheduledUnit{});
+  // The unit's component was torn down while it held the CPU
+  // (forget_running). The CPU time was still spent.
+  if (scheduled.component == nullptr) {
     monitor_.on_cpu_busy(actual);
     units_unroutable_->add();
     monitor_.on_unit_dropped();

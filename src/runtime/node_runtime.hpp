@@ -207,7 +207,10 @@ class NodeRuntime {
   /// node's ledger slice and full runtime state (sorted, deterministic).
   void receive(const ShardRecoverRequestMsg& req);
   void maybe_dispatch();
-  void finish_unit(ScheduledUnit scheduled, sim::SimDuration actual);
+  void finish_unit(sim::SimDuration actual);
+  /// Called before `component` is destroyed: a unit it holds on the CPU
+  /// finishes unroutable instead of reaching the dangling pointer.
+  void forget_running(const Component* component);
   void send_ack(sim::NodeIndex to, std::uint64_t request_id, bool ok);
   double reservation_kbps(double rate_ups, std::int64_t unit_bytes) const;
 
@@ -244,6 +247,9 @@ class NodeRuntime {
   LeaseGranter* granter_ = nullptr;
   Scheduler scheduler_;
   bool cpu_busy_ = false;
+  /// The unit holding the CPU while cpu_busy_; its component is null once
+  /// torn down. Kept here so the finish event captures only {this, time}.
+  ScheduledUnit running_;
   util::Xoshiro256 exec_rng_;
 
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
@@ -253,6 +259,10 @@ class NodeRuntime {
   std::unordered_map<ComponentKey, std::unique_ptr<Component>,
                      ComponentKeyHash>
       components_;
+  /// Instances replaced by a redeploy of their key. Units queued for them
+  /// keep a pointer to them, so they live until their key's units are
+  /// purged (remove_component, teardown_app).
+  std::vector<std::unique_ptr<Component>> retired_;
   // Reservation (in,out) per component for teardown bookkeeping.
   std::unordered_map<ComponentKey, std::pair<double, double>,
                      ComponentKeyHash>

@@ -1,6 +1,6 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -16,64 +16,34 @@ EventId make_id(std::uint32_t gen, std::uint32_t slot) {
 
 }  // namespace
 
-bool EventQueue::entry_before(const Entry& a, const Entry& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;  // FIFO within a timestamp
-}
-
-// The pending set is a 4-ary min-heap: half the depth of a binary heap and
-// four children per cache line's worth of entries, which is what matters
-// when thousands of events are pending.
-
-void EventQueue::heap_push(Entry entry) const {
-  heap_.push_back(entry);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!entry_before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::heap_pop() const {
-  const Entry x = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    const std::size_t stop = std::min(first + 4, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < stop; ++c) {
-      if (entry_before(heap_[c], heap_[best])) best = c;
-    }
-    if (!entry_before(heap_[best], x)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = x;
+std::size_t EventQueue::bucket_of(SimTime t) const {
+  return std::size_t(
+      std::bit_width(std::uint64_t(t) ^ std::uint64_t(floor_)));
 }
 
 EventId EventQueue::schedule(SimTime t, std::function<void()> fn) {
+  assert(t >= floor_);
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = std::uint32_t(slots_.size());
-    slots_.emplace_back();
-    free_slots_.reserve(slots_.capacity());
+    slot = std::uint32_t(fns_.size());
+    fns_.emplace_back();
+    gens_.push_back(0);
+    free_slots_.reserve(fns_.capacity());
   }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.live = true;
-
-  heap_push(Entry{t, next_seq_++, slot, s.gen});
+  fns_[slot] = std::move(fn);
+  buckets_[bucket_of(t)].push_back(Entry{t, slot, gens_[slot]});
   ++live_count_;
-  return make_id(s.gen, slot);
+  return make_id(gens_[slot], slot);
+}
+
+void EventQueue::vacate(std::uint32_t slot) {
+  fns_[slot] = nullptr;  // release captured state eagerly
+  ++gens_[slot];
+  free_slots_.push_back(slot);
+  --live_count_;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -81,44 +51,76 @@ bool EventQueue::cancel(EventId id) {
   const EventId raw = id - 1;
   const auto slot = std::uint32_t(raw & 0xffffffffu);
   const auto gen = std::uint32_t(raw >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return false;
-  s.fn = nullptr;  // release captured state eagerly
-  s.live = false;
-  ++s.gen;
-  free_slots_.push_back(slot);
-  --live_count_;
+  if (slot >= gens_.size() || gens_[slot] != gen) return false;
+  vacate(slot);
   return true;
-  // The heap entry stays; drop_cancelled_head skips it by gen mismatch.
+  // The bucket entry stays; scans skip it by gen mismatch.
 }
 
-void EventQueue::drop_cancelled_head() const {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    heap_pop();
+bool EventQueue::settle_head(SimTime end) {
+  std::vector<Entry>& head = buckets_[0];
+  for (;;) {
+    for (; head_ < head.size(); ++head_) {
+      // Bucket 0 holds only the floor time, and ties pop FIFO.
+      if (entry_live(head[head_])) return head[head_].time <= end;
+    }
+    head.clear();
+    head_ = 0;
+
+    std::size_t b = 1;
+    while (b < kBuckets && buckets_[b].empty()) ++b;
+    if (b == kBuckets) return false;
+    std::vector<Entry>& lowest = buckets_[b];
+    SimTime min = kNever;
+    for (const Entry& e : lowest) {
+      if (e.time < min && entry_live(e)) min = e.time;
+    }
+    if (min != kNever) {
+      // Refusing here keeps the floor: the caller may still schedule
+      // between it and `end` before the next call.
+      if (min > end) return false;
+      floor_ = min;
+      // In order, so same-time entries keep their insertion order. Every
+      // entry lands in a bucket below `b`; the dead ones are dropped.
+      for (const Entry& e : lowest) {
+        if (entry_live(e)) buckets_[bucket_of(e.time)].push_back(e);
+      }
+    }
+    lowest.clear();
   }
 }
 
 SimTime EventQueue::next_time() const {
-  drop_cancelled_head();
-  assert(!heap_.empty());
-  return heap_.front().time;
+  const std::vector<Entry>& head = buckets_[0];
+  for (std::size_t i = head_; i < head.size(); ++i) {
+    if (entry_live(head[i])) return head[i].time;
+  }
+  for (std::size_t b = 1; b < kBuckets; ++b) {
+    SimTime min = kNever;
+    for (const Entry& e : buckets_[b]) {
+      if (e.time < min && entry_live(e)) min = e.time;
+    }
+    if (min != kNever) return min;
+  }
+  assert(false && "next_time() on an empty queue");
+  return kNever;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  drop_cancelled_head();
-  assert(!heap_.empty());
-  const Entry e = heap_.front();
-  heap_pop();
-
-  Slot& s = slots_[e.slot];
-  Fired fired{e.time, make_id(e.gen, e.slot), std::move(s.fn)};
-  s.fn = nullptr;
-  s.live = false;
-  ++s.gen;
-  free_slots_.push_back(e.slot);
-  --live_count_;
+  Fired fired;
+  [[maybe_unused]] const bool found = pop_until(kNever, fired);
+  assert(found);
   return fired;
+}
+
+bool EventQueue::pop_until(SimTime end, Fired& out) {
+  if (!settle_head(end)) return false;
+  const Entry e = buckets_[0][head_++];
+  out.time = e.time;
+  out.id = make_id(e.gen, e.slot);
+  out.fn = std::move(fns_[e.slot]);
+  vacate(e.slot);
+  return true;
 }
 
 }  // namespace rasc::sim

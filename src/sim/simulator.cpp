@@ -13,11 +13,12 @@ EventId Simulator::call_at(SimTime t, std::function<void()> fn) {
 }
 
 void Simulator::run_until(SimTime end) {
-  while (!queue_.empty() && queue_.next_time() <= end) {
-    auto fired = queue_.pop();
+  EventQueue::Fired fired;
+  while (queue_.pop_until(end, fired)) {
     now_ = fired.time;
     ++processed_;
     fired.fn();
+    fired.fn = nullptr;  // release the handler's captures as it returns
   }
   now_ = std::max(now_, end);
 }

@@ -41,7 +41,7 @@ class Simulator {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs events until the queue is empty or simulated time would exceed
-  /// `end`. The clock is left at min(end, last event time).
+  /// `end`. The clock is left at max(end, now()).
   void run_until(SimTime end);
 
   /// Runs until the queue drains (or `max_events` fire — a runaway guard).

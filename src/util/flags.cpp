@@ -36,9 +36,11 @@ Flags::Flags(int argc, const char* const* argv) {
       record(arg.substr(0, eq), arg.substr(eq + 1));
       continue;
     }
-    // --no-name  -> name=false
+    // --no-name is a boolean switch on its own: it never takes the next
+    // token. get_bool("name") reads it as false, get_bool("no-name") as
+    // true.
     if (arg.rfind("no-", 0) == 0) {
-      record(arg.substr(3), "false");
+      record(std::move(arg), "true");
       continue;
     }
     // --name value (if the next token is not itself a flag), else boolean.
@@ -91,11 +93,21 @@ std::string Flags::get_string(const std::string& name,
 }
 
 bool Flags::get_bool(const std::string& name, bool def) {
+  const auto parse = [](const std::string& flag, const std::string& v) {
+    if (v == "true" || v == "1" || v == "yes") return true;
+    if (v == "false" || v == "0" || v == "no") return false;
+    throw FlagError("flag --" + flag + ": not a boolean: " + v);
+  };
   const auto v = raw(name, def ? "true" : "false");
-  if (!v) return def;
-  if (*v == "true" || *v == "1" || *v == "yes") return true;
-  if (*v == "false" || *v == "0" || *v == "no") return false;
-  throw FlagError("flag --" + name + ": not a boolean: " + *v);
+  const std::string negated = "no-" + name;
+  const auto no = values_.find(negated);
+  if (no == values_.end()) return v ? parse(name, *v) : def;
+  // Asked as "name", a given --no-name negates it and counts as known.
+  consumed_[negated] = true;
+  if (v) {
+    throw FlagError("conflicting flags: --" + name + " and --" + negated);
+  }
+  return !parse(negated, no->second);
 }
 
 std::vector<double> Flags::get_double_list(const std::string& name,

@@ -1,6 +1,7 @@
 // Tiny command-line flag parser for bench binaries and examples.
 //
-// Supports --name=value, --name value, and boolean --name / --no-name.
+// Supports --name=value, --name value, and boolean --name / --no-name
+// (--no-name is false for get_bool("name"), true for get_bool("no-name")).
 // Unknown and repeated flags are errors (catches typos and
 // copy-paste-doubled overrides in sweep scripts). --help lists every flag
 // the program asked about, with its default.

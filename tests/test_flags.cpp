@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace rasc::util {
@@ -32,6 +33,44 @@ TEST(Flags, BooleanForms) {
   EXPECT_FALSE(f.get_bool("color", true));
   EXPECT_FALSE(f.get_bool("fast", true));
   f.finish();
+}
+
+TEST(Flags, NoPrefixedSwitchIsItsOwnFlag) {
+  // rasc_cli asks for "no-cpu" itself: --no-cpu must read as true there,
+  // not as an unknown --cpu.
+  auto f = make({"--no-cpu", "--nodes", "8"});
+  EXPECT_TRUE(f.get_bool("no-cpu", false));
+  EXPECT_EQ(f.get_int("nodes", 0), 8);
+  EXPECT_NO_THROW(f.finish());
+
+  auto absent = make({});
+  EXPECT_FALSE(absent.get_bool("no-cpu", false));
+  EXPECT_NO_THROW(absent.finish());
+}
+
+TEST(Flags, NoPrefixNegatesAFlagAskedWithoutIt) {
+  // bench/shard_admission asks for "chaos" (default on): --no-chaos
+  // turns it off and counts as known.
+  auto f = make({"--no-chaos"});
+  EXPECT_FALSE(f.get_bool("chaos", true));
+  EXPECT_NO_THROW(f.finish());
+
+  auto on = make({"--chaos"});
+  EXPECT_TRUE(on.get_bool("chaos", false));
+  EXPECT_NO_THROW(on.finish());
+
+  // A --no- switch never takes the next token as its value.
+  auto g = make({"--no-chaos", "extra"});
+  EXPECT_FALSE(g.get_bool("chaos", true));
+  EXPECT_EQ(g.positional(), (std::vector<std::string>{"extra"}));
+
+  // Both spellings at once contradict each other.
+  auto both = make({"--chaos", "--no-chaos"});
+  EXPECT_THROW(both.get_bool("chaos", true), std::invalid_argument);
+
+  // --no-chaos is unknown to a program that never asks for "chaos".
+  auto unasked = make({"--no-chaos"});
+  EXPECT_THROW(unasked.finish(), std::invalid_argument);
 }
 
 TEST(Flags, DefaultsWhenAbsent) {

@@ -138,5 +138,26 @@ TEST(Runner, AccountingBalances) {
   EXPECT_GE(double(accounted), double(m.emitted) * 0.9);
 }
 
+TEST(Runner, OverloadedWorldEventCountIsPinned) {
+  // The paper's overloaded 32-node deployment, scaled down. Event order
+  // decides every outcome here; these constants were recorded before the
+  // event queue moved from a (time, seq) heap to radix buckets, and any
+  // change to which events fire, or in which order, moves them.
+  RunConfig cfg;
+  cfg.world.nodes = 32;
+  cfg.world.seed = 42;
+  cfg.world.net.bw_min_kbps = 300;  // rasc_cli's default: thin access links
+  cfg.workload.num_requests = 20;
+  cfg.workload.avg_rate_kbps = 200;
+  cfg.steady_duration = sim::sec(5);
+  const auto m = run_experiment(cfg);
+  EXPECT_EQ(m.sim_events, 98939);
+  EXPECT_EQ(m.composed, 19);
+  EXPECT_EQ(m.emitted, 6562);
+  EXPECT_EQ(m.delivered, 6398);
+  EXPECT_EQ(m.timely, 6059);
+  EXPECT_EQ(m.drops_network, 211);
+}
+
 }  // namespace
 }  // namespace rasc::exp

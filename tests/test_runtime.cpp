@@ -191,6 +191,88 @@ TEST_F(RuntimeFixture, TeardownViaMessage) {
   EXPECT_EQ(rt(1).find_component({5, 0, 0}), nullptr);
 }
 
+/// Sends one app-1 unit from node 0 to node 1's stage-0 "slow" component
+/// (40 ms of CPU) and runs until it holds node 1's CPU. Returns a weak
+/// reference to the unit: the test keeps no strong one.
+std::weak_ptr<const DataUnit> unit_on_cpu(sim::Simulator& sim,
+                                          sim::Network& net,
+                                          NodeRuntime& runtime) {
+  runtime.deploy_component({1, 0, 0}, "slow", 10.0, 1000, {{3, 10.0}});
+  auto du = std::make_shared<DataUnit>();
+  du->app = 1;
+  du->substream = 0;
+  du->stage = 0;
+  du->size_bytes = 1000;
+  std::weak_ptr<const DataUnit> weak = du;
+  net.send(0, 1, 1000, std::move(du));
+  sim.run_until(sim::msec(10));  // arrived (~3 ms), finishes at ~43 ms
+  EXPECT_EQ(runtime.units_received(), 1);
+  EXPECT_EQ(runtime.units_processed(), 0);
+  EXPECT_FALSE(weak.expired());
+  return weak;
+}
+
+TEST_F(RuntimeFixture, TeardownWhileUnitHoldsCpuCountsItUnroutable) {
+  rt(3).deploy_sink(1, 0, 10.0, 1000);
+  const auto weak = unit_on_cpu(sim_, net_, rt(1));
+  rt(1).teardown_app(1);
+  sim_.run_until(sim::sec(1));
+  EXPECT_EQ(rt(1).units_processed(), 0);
+  EXPECT_EQ(rt(1).units_unroutable(), 1);
+  EXPECT_EQ(rt(3).aggregate_sink_stats().delivered, 0);
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST_F(RuntimeFixture, RedeployWhileUnitHoldsCpuDoesNotProcessIt) {
+  rt(3).deploy_sink(1, 0, 10.0, 1000);
+  const auto weak = unit_on_cpu(sim_, net_, rt(1));
+  rt(1).teardown_app(1);
+  // Same key again: the unit on the CPU belongs to the old instance.
+  rt(1).deploy_component({1, 0, 0}, "slow", 10.0, 1000, {{3, 10.0}});
+  sim_.run_until(sim::sec(1));
+  ASSERT_NE(rt(1).find_component({1, 0, 0}), nullptr);
+  EXPECT_EQ(rt(1).find_component({1, 0, 0})->processed(), 0);
+  EXPECT_EQ(rt(1).units_processed(), 0);
+  EXPECT_EQ(rt(1).units_unroutable(), 1);
+  EXPECT_EQ(rt(3).aggregate_sink_stats().delivered, 0);
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST_F(RuntimeFixture, RedeployOverLiveInstanceRetiresItsQueuedUnits) {
+  // An app-1 unit waits behind an app-2 unit on node 1's CPU when app 1's
+  // key is deployed again (a rate-adapter add over a live instance). The
+  // queued unit belongs to the old instance: it finishes unroutable, and
+  // only later units reach the new one.
+  rt(3).deploy_sink(1, 0, 10.0, 1000);
+  rt(3).deploy_sink(2, 0, 10.0, 1000);
+  rt(1).deploy_component({2, 0, 0}, "slow", 10.0, 1000, {{3, 10.0}});
+  rt(1).deploy_component({1, 0, 0}, "fast", 10.0, 1000, {{3, 10.0}});
+  std::vector<std::weak_ptr<const DataUnit>> sent;
+  const auto send = [&](AppId app, std::int64_t seq) {
+    auto du = std::make_shared<DataUnit>();
+    du->app = app;
+    du->seq = seq;
+    du->size_bytes = 1000;
+    sent.push_back(du);
+    net_.send(0, 1, 1000, std::move(du));
+  };
+  send(2, 0);  // holds the CPU from ~3 ms to ~43 ms
+  sim_.run_until(sim::msec(10));
+  send(1, 0);  // queued at ~13 ms
+  sim_.run_until(sim::msec(20));
+  rt(1).deploy_component({1, 0, 0}, "fast", 10.0, 1000, {{3, 10.0}});
+  sim_.run_until(sim::msec(200));
+  EXPECT_EQ(rt(1).units_processed(), 1);  // app 2's
+  EXPECT_EQ(rt(1).units_unroutable(), 1);
+  EXPECT_EQ(rt(1).units_dropped_deadline(), 0);
+  for (const auto& weak : sent) EXPECT_TRUE(weak.expired());
+
+  send(1, 1);
+  sim_.run_until(sim::sec(1));
+  EXPECT_EQ(rt(1).find_component({1, 0, 0})->processed(), 1);
+  EXPECT_EQ(rt(3).find_sink(1, 0)->delivered(), 1);
+}
+
 TEST_F(RuntimeFixture, DeadlineDropsFeedTheMonitor) {
   rt(1).deploy_component({1, 0, 0}, "slow", 50.0, 1000, {{3, 50.0}});
   rt(3).deploy_sink(1, 0, 50.0, 1000);
