@@ -2,9 +2,12 @@
 // composer builds (stages × providers). Two variants of a bare solve
 // separate what the reusable SspSolver workspace buys:
 //   cold    — fresh solver every call: pays the CSR adjacency build, all
-//             vector allocations, and a from-scratch solve;
+//             vector allocations, the negative-arc scan and a
+//             from-scratch solve;
 //   reused  — one persistent solver, same topology: adjacency snapshot and
-//             buffers are cached, only the solve itself runs.
+//             buffers are cached and the previous solve's potentials
+//             warm-start the next (validated first), so only the solve
+//             itself runs.
 // BM_SubstreamSolve then times core::SubstreamSolver, the routine both
 // composition and rate adaptation call: warm-started solve plus the
 // per-node capacity repair loop on one persistent graph.
@@ -28,12 +31,11 @@ void BM_ComposeSolverCold(benchmark::State& state) {
   util::Xoshiro256 rng(7);
   auto cg = bench::random_composition_graph(int(state.range(0)),
                                             int(state.range(1)), rng);
-  const flow::SolveOptions opts{.assume_nonnegative_costs = true};
   for (auto _ : state) {
     cg.reset_flow();
     flow::SspSolver solver;  // fresh workspace: CSR build + allocations
     const auto r = solver.solve(cg.graph(), cg.source(), cg.sink(),
-                                cg.demand(), opts);
+                                cg.demand());
     benchmark::DoNotOptimize(r.cost);
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
@@ -45,12 +47,11 @@ void BM_ComposeSolverReused(benchmark::State& state) {
   util::Xoshiro256 rng(7);
   auto cg = bench::random_composition_graph(int(state.range(0)),
                                             int(state.range(1)), rng);
-  const flow::SolveOptions opts{.assume_nonnegative_costs = true};
   flow::SspSolver solver;
   for (auto _ : state) {
     cg.reset_flow();
     const auto r = solver.solve(cg.graph(), cg.source(), cg.sink(),
-                                cg.demand(), opts);
+                                cg.demand());
     benchmark::DoNotOptimize(r.cost);
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) *

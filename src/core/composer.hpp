@@ -70,6 +70,12 @@ class ResidualTracker {
   /// drop_ratio is a placeholder zero, not a measurement. Cost models
   /// should substitute a prior rather than treat the node as drop-free.
   bool drop_known(sim::NodeIndex node) const;
+  /// Drop ratio the min-cost pricing charges for `node`: the measured
+  /// ratio, or 0 when drop_known() is false — a never-sampled node is
+  /// priced as drop-free, whatever placeholder its snapshot carried.
+  double priced_drop_ratio(sim::NodeIndex node) const {
+    return drop_known(node) ? drop_ratio(node) : 0.0;
+  }
 
   void consume(sim::NodeIndex node, double in_kbps, double out_kbps,
                double cpu_fraction = 0.0);

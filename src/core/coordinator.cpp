@@ -184,8 +184,7 @@ void Coordinator::arm_retransmit(std::uint64_t rid, sim::NodeIndex target,
 void Coordinator::schedule_retransmit(std::uint64_t rid) {
   Retransmit& r = retx_.at(rid);
   r.timer = simulator_.call_after(
-      capped_backoff(policy_.retransmit_base, policy_.retransmit_max,
-                     r.attempts),
+      capped_backoff(kRetransmitBase, kRetransmitMax, r.attempts),
       [this, rid] {
         const auto it = retx_.find(rid);
         if (it == retx_.end()) return;  // acked meanwhile

@@ -60,10 +60,9 @@ class Coordinator {
   struct DeployPolicy {
     /// Retransmissions allowed per deploy message after the original
     /// send (0 = single-shot). Spacing follows the capped_backoff ladder
-    /// below; the overall kDeployTimeout deadline is unchanged.
+    /// kRetransmitBase, 2x, ... up to kRetransmitMax; the overall
+    /// kDeployTimeout deadline is unchanged.
     int retransmit_budget = 0;
-    sim::SimDuration retransmit_base = sim::msec(400);
-    sim::SimDuration retransmit_max = sim::msec(3200);
     /// On NACK or deadline, send epoch-stamped teardowns to every node
     /// this deployment targeted, releasing partial reservations.
     bool rollback = false;
@@ -72,6 +71,9 @@ class Coordinator {
   };
 
   static constexpr sim::SimDuration kDeployTimeout = sim::msec(5000);
+  /// Deploy retransmission ladder (DeployPolicy::retransmit_budget).
+  static constexpr sim::SimDuration kRetransmitBase = sim::msec(400);
+  static constexpr sim::SimDuration kRetransmitMax = sim::msec(3200);
   /// DHT lookup attempts per service before the request is rejected.
   static constexpr int kDiscoveryAttempts = 3;
   /// Backoff ladder between retries of a failed lookup: 300ms, 600ms, ...

@@ -222,13 +222,12 @@ bool CoordinatorShard::retry_capacity(const JobPtr& job) {
   // the demand this request represents only reaches the granters with
   // the next renewal. Renew off-cycle and re-queue a bounded number of
   // times before the failure becomes final.
-  if (job->capacity_retries >= params_.capacity_retries) return false;
+  if (job->capacity_retries >= kCapacityRetries) return false;
   ++job->capacity_retries;
   retries_->add();
   demand_window_kbps_ += job->request.total_rate_kbps();
   lease_.renew_now();
-  simulator_.call_after(params_.retry_delay,
-                        [this, job] { ready_.push_back(job); });
+  simulator_.call_after(kRetryDelay, [this, job] { ready_.push_back(job); });
   return true;
 }
 
@@ -318,7 +317,7 @@ void CoordinatorShard::on_outcome(const JobPtr& job,
   // and NACK again. The next renewal grant reflects the freed funds.
   job->debits.clear();
 
-  if (!outcome.nacked.empty() && job->attempts < params_.repair_attempts) {
+  if (!outcome.nacked.empty() && job->attempts < kRepairAttempts) {
     repair(job, outcome);
     return;
   }
@@ -351,7 +350,7 @@ void CoordinatorShard::repair(const JobPtr& job,
   targets.insert(job->request.destination);
   stats_.query_many(
       std::vector<sim::NodeIndex>(targets.begin(), targets.end()),
-      params_.refresh_timeout,
+      kRefreshTimeout,
       [this, job](std::vector<monitor::NodeStats> stats) {
         for (const auto& s : stats) lease_.refresh_stats(s);
         compose_and_dispatch(job);
@@ -414,8 +413,7 @@ void CoordinatorShard::takeover() {
     network_.send(home_, sim::NodeIndex(n),
                   runtime::ShardRecoverRequestMsg::kBytes, std::move(req));
   }
-  simulator_.call_after(params_.reconstruct_timeout,
-                        [this] { adopt_collected(); });
+  simulator_.call_after(kReconstructTimeout, [this] { adopt_collected(); });
 }
 
 void CoordinatorShard::adopt_collected() {

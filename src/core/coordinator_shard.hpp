@@ -84,6 +84,23 @@ AdmissionPolicy parse_admission_policy(const std::string& name);
 
 class CoordinatorShard {
  public:
+  /// Re-compositions attempted after a lease-contention NACK before the
+  /// request is rejected.
+  static constexpr int kRepairAttempts = 2;
+  /// Reply deadline of the scoped stats refresh on the repair path.
+  static constexpr sim::SimDuration kRefreshTimeout = sim::msec(500);
+  /// Times a request whose composition fails against the current view is
+  /// re-queued (after an off-cycle renewal enlarges the shard's grants)
+  /// before the failure is final. Covers cold or recently-idle shards
+  /// whose grants shrank to the idle floor.
+  static constexpr int kCapacityRetries = 3;
+  /// Delay before a capacity-retried request rejoins the queue: long
+  /// enough for the renewal round-trip its retry depends on.
+  static constexpr sim::SimDuration kRetryDelay = sim::msec(600);
+  /// Reply-collection window of a standby's reconstruction broadcast;
+  /// replies arriving later are ignored (deterministic adoption deadline).
+  static constexpr sim::SimDuration kReconstructTimeout = sim::sec(1);
+
   struct Params {
     std::int32_t shard = 0;
     /// Fleet size (the lease view covers every node).
@@ -92,19 +109,6 @@ class CoordinatorShard {
     /// against one lease-view snapshot.
     sim::SimDuration batch_window = sim::msec(100);
     AdmissionPolicy policy = AdmissionPolicy::kFifo;
-    /// Re-compositions attempted after a lease-contention NACK before
-    /// the request is rejected.
-    int repair_attempts = 2;
-    /// Reply deadline of the scoped stats refresh on the repair path.
-    sim::SimDuration refresh_timeout = sim::msec(500);
-    /// Times a request whose composition fails against the current view
-    /// is re-queued (after an off-cycle renewal enlarges the shard's
-    /// grants) before the failure is final. Covers cold or recently-idle
-    /// shards whose grants shrank to the idle floor.
-    int capacity_retries = 3;
-    /// Delay before a capacity-retried request rejoins the queue: long
-    /// enough for the renewal round-trip its retry depends on.
-    sim::SimDuration retry_delay = sim::msec(600);
     LeaseManager::Params lease;
 
     // --- Standby mode (shard re-homing) ---
@@ -117,9 +121,6 @@ class CoordinatorShard {
     sim::NodeIndex primary_home = sim::kInvalidNode;
     /// Watchdog poll period of the local holder_suspect signal.
     sim::SimDuration standby_check = sim::msec(500);
-    /// Reply-collection window of the reconstruction broadcast; replies
-    /// arriving later are ignored (deterministic adoption deadline).
-    sim::SimDuration reconstruct_timeout = sim::sec(1);
     /// Deadline stamped on adopted requests: the original SLO is not
     /// recoverable from runtime state, so the plane's configured default
     /// applies.

@@ -13,20 +13,19 @@ double GossipComposer::hop_cost(sim::NodeIndex from, sim::NodeIndex candidate,
                                 const ResidualTracker& tracker) const {
   double cost = 0;
   if (options_.latency_ms) {
-    cost += options_.latency_weight * options_.latency_ms(from, candidate);
+    cost += kLatencyWeight * options_.latency_ms(from, candidate);
     if (last_stage) {
-      cost +=
-          options_.latency_weight * options_.latency_ms(candidate, destination);
+      cost += kLatencyWeight * options_.latency_ms(candidate, destination);
     }
   }
   const double drop = tracker.drop_known(candidate)
                           ? tracker.drop_ratio(candidate)
-                          : options_.drop_prior;
-  cost += options_.drop_weight * drop;
+                          : kDropPrior;
+  cost += kDropWeight * drop;
   const auto hint = hints_.find(candidate);
   if (hint != hints_.end() && hint->second > 0) {
     const double avail = std::max(0.0, tracker.avail_out_kbps(candidate));
-    cost += options_.load_weight * hint->second / (hint->second + avail + 1.0);
+    cost += kLoadWeight * hint->second / (hint->second + avail + 1.0);
   }
   return cost;
 }
@@ -106,7 +105,7 @@ ComposeResult GossipComposer::compose(const ComposeInput& input) {
 
     std::vector<Frame> stack;
     std::vector<sim::NodeIndex> chosen(std::size_t(k), sim::kInvalidNode);
-    int backtracks_left = options_.backtrack_budget;
+    int backtracks_left = kBacktrackBudget;
     stack.push_back(Frame{sorted_candidates(0, req.source, tracker), 0,
                           tracker});
     bool composed = false;

@@ -31,19 +31,20 @@ class GossipComposer : public Composer {
   /// Null = latency-blind (cost degrades to drops + load only).
   using LatencyFn = std::function<double(sim::NodeIndex, sim::NodeIndex)>;
 
+  /// Extra candidate expansions allowed per substream beyond the pure
+  /// greedy walk.
+  static constexpr int kBacktrackBudget = 8;
+  /// Cost weights. Latency is in ms; drop ratio and load fraction are
+  /// unitless in [0, 1], so their weights also set the exchange rate into
+  /// milliseconds.
+  static constexpr double kLatencyWeight = 1.0;
+  static constexpr double kDropWeight = 200.0;
+  static constexpr double kLoadWeight = 50.0;
+  /// Drop prior for nodes whose snapshot held no drop outcomes.
+  static constexpr double kDropPrior = 0.02;
+
   struct Options {
     LatencyFn latency_ms;
-    /// Extra candidate expansions allowed per substream beyond the pure
-    /// greedy walk; 0 = plain greedy, fail on the first stranded stage.
-    int backtrack_budget = 8;
-    /// Cost weights. Latency is in ms; drop ratio and load fraction are
-    /// unitless in [0, 1], so their weights also set the exchange rate
-    /// into milliseconds.
-    double latency_weight = 1.0;
-    double drop_weight = 200.0;
-    double load_weight = 50.0;
-    /// Drop prior for nodes whose snapshot held no drop outcomes.
-    double drop_prior = 0.02;
     /// Latency SLO admission (only consulted when the request carries a
     /// nonzero deadline_ms): CPU-saturated candidates are skipped during
     /// the walk and chains whose predicted end-to-end latency exceeds the

@@ -30,7 +30,7 @@ double to_kbps(double units_per_sec, double unit_bytes) {
 /// the plan's own planned rate). Zero when stats are missing or carry no
 /// capacity — synthetic fixtures degenerate to the pure CPU chain.
 double port_ms(const monitor::NodeStats* stats, bool egress,
-               double unit_bytes, double added_kbps, double cap) {
+               double unit_bytes, double added_kbps) {
   if (stats == nullptr) return 0;
   const double capacity =
       egress ? stats->capacity_out_kbps : stats->capacity_in_kbps;
@@ -45,7 +45,8 @@ double port_ms(const monitor::NodeStats* stats, bool egress,
   const double rho = (used + added_kbps) / capacity;
   // bits / (kbit/s) = ms.
   const double tx_ms = unit_bytes * 8.0 / capacity;
-  return tx_ms + LatencyModel::mg1_wait_ms(tx_ms, 0.0, rho, cap);
+  return tx_ms + LatencyModel::mg1_wait_ms(tx_ms, 0.0, rho,
+                                           LatencyModel::kUtilizationCap);
 }
 
 }  // namespace
@@ -69,7 +70,7 @@ double LatencyModel::mg1_wait_ms(double mean_service_ms, double jitter,
 
 bool LatencyModel::saturated(const monitor::NodeStats* stats,
                              double added_rho) const {
-  return base_cpu(stats) + added_rho >= options_.utilization_cap;
+  return base_cpu(stats) + added_rho >= kUtilizationCap;
 }
 
 double LatencyModel::predict_ms(const runtime::AppPlan& plan,
@@ -137,13 +138,13 @@ double LatencyModel::predict_ms(const runtime::AppPlan& plan,
         cur.emplace_back(p.node, w);
         const double rx_ms =
             port_ms(stats_of(p.node), /*egress=*/false, bytes,
-                    wire_of(p.node).in_kbps, options_.utilization_cap);
+                    wire_of(p.node).in_kbps);
         for (const auto& [from, fw] : prev) {
           const double tx_ms =
               from == p.node
                   ? 0.0
                   : port_ms(stats_of(from), /*egress=*/true, bytes,
-                            wire_of(from).out_kbps, options_.utilization_cap);
+                            wire_of(from).out_kbps);
           hop_ms += fw * w *
                     (options_.link_latency_ms(from, p.node) +
                      (from == p.node ? 0.0 : tx_ms + rx_ms));
@@ -152,7 +153,7 @@ double LatencyModel::predict_ms(const runtime::AppPlan& plan,
         const double rho =
             base_cpu(stats_of(p.node)) + (it != added.end() ? it->second : 0);
         const double wait = mg1_wait_ms(mean_ms, spec.cpu_time_jitter, rho,
-                                        options_.utilization_cap);
+                                        kUtilizationCap);
         stage_ms += w * (wait + mean_ms);
       }
       total_ms += hop_ms + stage_ms;
@@ -165,10 +166,9 @@ double LatencyModel::predict_ms(const runtime::AppPlan& plan,
           from == plan.destination
               ? 0.0
               : port_ms(stats_of(from), /*egress=*/true, bytes,
-                        wire_of(from).out_kbps, options_.utilization_cap) +
+                        wire_of(from).out_kbps) +
                     port_ms(stats_of(plan.destination), /*egress=*/false,
-                            bytes, wire_of(plan.destination).in_kbps,
-                            options_.utilization_cap);
+                            bytes, wire_of(plan.destination).in_kbps);
       total_ms +=
           fw * (options_.link_latency_ms(from, plan.destination) + wire_ms);
     }

@@ -16,7 +16,7 @@
 //   W = lambda E[S^2] / (2 (1 - rho)) = rho m (1 + j^2/3) / (2 (1 - rho)),
 // which reduces exactly to the M/D/1 closed form W = rho m / (2 (1 - rho))
 // when j = 0 — the anchor for the property test. Utilization at or above
-// `utilization_cap` predicts infinity: the queue has no steady state, so
+// `kUtilizationCap` predicts infinity: the queue has no steady state, so
 // admission must price the node as unusable.
 //
 // Hops are modeled too, when the endpoint's stats carry link capacities:
@@ -43,12 +43,13 @@ namespace rasc::core {
 
 class LatencyModel {
  public:
+  /// Utilization at or above this predicts an unbounded queue.
+  static constexpr double kUtilizationCap = 0.98;
+
   struct Options {
     /// Mean one-way latency of the overlay link a -> b in milliseconds
     /// (0 for a == b). Required.
     std::function<double(sim::NodeIndex, sim::NodeIndex)> link_latency_ms;
-    /// Utilization at or above this predicts an unbounded queue.
-    double utilization_cap = 0.98;
   };
 
   /// Looks up the freshest known stats for a node; nullptr when the node
@@ -78,8 +79,6 @@ class LatencyModel {
   /// Aggregate CPU utilization of `node` after adding `added_rho` to its
   /// measured/reserved base. Saturation test for candidate pruning.
   bool saturated(const monitor::NodeStats* stats, double added_rho) const;
-
-  double utilization_cap() const { return options_.utilization_cap; }
 
   static constexpr double kInfinity =
       std::numeric_limits<double>::infinity();

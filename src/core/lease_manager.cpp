@@ -35,8 +35,7 @@ void LeaseManager::sweep() {
 }
 
 void LeaseManager::renew_now() {
-  if (last_renew_ >= 0 &&
-      simulator_.now() < last_renew_ + params_.offcycle_min_gap) {
+  if (last_renew_ >= 0 && simulator_.now() < last_renew_ + kOffcycleMinGap) {
     return;
   }
   request_all();
@@ -53,7 +52,7 @@ void LeaseManager::request_all() {
   for (std::size_t i = 0; i < views_.size(); ++i) {
     const auto target = sim::NodeIndex(i);
     simulator_.call_after(
-        params_.stagger * std::int64_t(i), [this, target, demand] {
+        kStagger * std::int64_t(i), [this, target, demand] {
           auto req = std::make_shared<runtime::LeaseRequestMsg>();
           req->shard = shard_;
           req->requester = home_;

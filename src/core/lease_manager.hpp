@@ -35,18 +35,19 @@ namespace rasc::core {
 
 class LeaseManager {
  public:
+  /// Spacing between consecutive per-node requests inside one sweep, so a
+  /// large fleet's renewals do not land as one burst.
+  static constexpr sim::SimDuration kStagger = sim::msec(1);
+  /// Minimum spacing of off-cycle renew_now() sweeps. Under overload every
+  /// failed composition asks for one; without this cap the resulting
+  /// renewal storm churns lease epochs faster than deploys can settle
+  /// against them.
+  static constexpr sim::SimDuration kOffcycleMinGap = sim::msec(1500);
+
   struct Params {
     /// Renewal sweep period. Must stay comfortably below the granter's
     /// lease_duration or views expire between renewals.
     sim::SimDuration renew_period = sim::sec(5);
-    /// Spacing between consecutive per-node requests inside one sweep, so
-    /// a large fleet's renewals do not land as one burst.
-    sim::SimDuration stagger = sim::msec(1);
-    /// Minimum spacing of off-cycle renew_now() sweeps. Under overload
-    /// every failed composition asks for one; without this cap the
-    /// resulting renewal storm churns lease epochs faster than deploys
-    /// can settle against them.
-    sim::SimDuration offcycle_min_gap = sim::msec(1500);
   };
 
   /// Registers for LeaseGrantMsg and LeaseRevokeMsg packets at `home`.

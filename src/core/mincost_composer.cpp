@@ -58,9 +58,6 @@ SubstreamSolver::Result SubstreamSolver::solve(
   for (const auto& cands : stages) tighten.emplace_back(cands.size(), 1.0);
   // Candidates whose tighten factor changed since the last solve.
   std::vector<std::pair<int, int>> dirty;
-  flow::SolveOptions solve_options;
-  solve_options.assume_nonnegative_costs = true;  // costs = drop ratios
-  solve_options.warm_start = true;
 
   // The graph is never rebuilt: repair iterations tighten splitting-arc
   // capacities in place and re-solve with warm-started potentials.
@@ -76,7 +73,7 @@ SubstreamSolver::Result SubstreamSolver::solve(
       dirty.clear();
     }
     result.last = ssp_.solve(graph.graph(), graph.source(), graph.sink(),
-                             graph.demand(), solve_options);
+                             graph.demand());
     if (!result.last.feasible) {
       result.status = Status::kInfeasible;
       return result;
@@ -191,11 +188,7 @@ ComposeResult MinCostComposer::compose(const ComposeInput& input) {
             options_.latency_model->saturated(&stats, 0.0)) {
           cand.max_delivered_ups = 0;
         }
-        // An empty drop window means "never measured", not "drop-free":
-        // price the unknown with the configured prior instead of 0.
-        cand.drop_ratio = tracker.drop_known(stats.node)
-                              ? tracker.drop_ratio(stats.node)
-                              : options_.unknown_drop_prior;
+        cand.drop_ratio = tracker.priced_drop_ratio(stats.node);
         const double cap_total =
             stats.capacity_in_kbps + stats.capacity_out_kbps;
         if (cap_total > 0) {

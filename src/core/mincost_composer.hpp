@@ -102,12 +102,6 @@ class MinCostComposer final : public Composer {
     /// Multi-resource composition (the paper's §6 future work): also
     /// constrain candidate rates by the hosting node's CPU availability.
     bool consider_cpu = true;
-    /// Drop ratio assumed for candidates whose snapshot carried zero drop
-    /// outcomes (drop_samples == 0). An empty outcome window used to read
-    /// as 0.0 — "measured drop-free" — which floods traffic onto unproven
-    /// nodes; a nonzero prior prices that uncertainty. Default 0 keeps
-    /// historical compositions bit-identical.
-    double unknown_drop_prior = 0.0;
     /// Latency SLO admission (only consulted when the request carries a
     /// nonzero deadline_ms): CPU-saturated candidates are priced as
     /// unusable and plans whose predicted end-to-end latency exceeds the

@@ -411,7 +411,7 @@ bool RateAdapter::resolve(
           cap = math.max_delivered_ups(st, tracker.avail_in_kbps(node),
                                        tracker.avail_out_kbps(node),
                                        tracker.avail_cpu_fraction(node));
-          drop = tracker.drop_known(node) ? tracker.drop_ratio(node) : 0.0;
+          drop = tracker.priced_drop_ratio(node);
           const double cap_total = bit->second.capacity_in_kbps +
                                    bit->second.capacity_out_kbps;
           util = cap_total > 0

@@ -12,21 +12,20 @@ namespace rasc::core {
 
 AppSupervisor::AppSupervisor(sim::Simulator& simulator,
                              sim::Network& network, Coordinator& coordinator,
-                             Composer& composer, Params params,
+                             Composer& composer,
                              obs::MetricRegistry* registry)
     : simulator_(simulator),
       network_(network),
       coordinator_(coordinator),
       composer_(composer),
-      params_(params),
       node_(coordinator.node()),
       owned_metrics_(registry ? nullptr
                               : std::make_unique<obs::MetricRegistry>()),
       metrics_(registry ? registry : owned_metrics_.get()),
-      // Deterministic per (jitter_seed, node); independent of the
+      // Deterministic per (kJitterSeed, node); independent of the
       // simulation's root RNG so supervised and unsupervised runs stay
       // event-for-event comparable.
-      backoff_rng_(params.jitter_seed ^
+      backoff_rng_(kJitterSeed ^
                    (std::uint64_t(coordinator.node()) *
                     0xD1B54A32D192ED03ull)) {
   obs::Labels labels;
@@ -46,11 +45,6 @@ AppSupervisor::AppSupervisor(sim::Simulator& simulator,
       [](AppSupervisor& self, const runtime::SinkHealthReply& reply,
          const sim::Packet&) { self.receive(reply); });
 }
-
-AppSupervisor::AppSupervisor(sim::Simulator& simulator,
-                             sim::Network& network, Coordinator& coordinator,
-                             Composer& composer)
-    : AppSupervisor(simulator, network, coordinator, composer, Params()) {}
 
 AppSupervisor::~AppSupervisor() {
   network_.remove_handlers(node_, this);
@@ -97,12 +91,12 @@ void AppSupervisor::forget(runtime::AppId app) {
 void AppSupervisor::schedule_check(runtime::AppId app) {
   const auto it = watched_.find(app);
   if (it == watched_.end()) return;
-  if (simulator_.now() + params_.check_interval >= it->second->stream_stop) {
+  if (simulator_.now() + kCheckInterval >= it->second->stream_stop) {
     // The stream is about to end naturally; stop supervising.
     watched_.erase(it);
     return;
   }
-  it->second->timer = simulator_.call_after(params_.check_interval,
+  it->second->timer = simulator_.call_after(kCheckInterval,
                                             [this, app] { run_check(app); });
 }
 
@@ -123,7 +117,7 @@ void AppSupervisor::run_check(runtime::AppId app) {
                 runtime::SinkHealthRequest::kBytes, std::move(probe));
 
   w.probe_timeout_event =
-      simulator_.call_after(params_.probe_timeout, [this, app, rid] {
+      simulator_.call_after(kProbeTimeout, [this, app, rid] {
         const auto wit = watched_.find(app);
         if (wit == watched_.end() || wit->second->pending_probe != rid) {
           return;
@@ -161,10 +155,10 @@ void AppSupervisor::on_probe_result(runtime::AppId app,
     return;
   }
   const double expected_units =
-      w.expected_ups * sim::to_seconds(params_.check_interval);
+      w.expected_ups * sim::to_seconds(kCheckInterval);
   const auto progress = double(delivered - w.last_delivered);
   w.last_delivered = delivered;
-  if (progress < params_.min_progress_fraction * expected_units) {
+  if (progress < kMinProgressFraction * expected_units) {
     strike(app);
     return;
   }
@@ -178,7 +172,7 @@ void AppSupervisor::strike(runtime::AppId app) {
   if (it == watched_.end()) return;
   Watched& w = *it->second;
   strikes_->add();
-  if (++w.strikes < params_.strikes_to_recover) {
+  if (++w.strikes < kStrikesToRecover) {
     schedule_check(app);
     return;
   }
@@ -223,13 +217,10 @@ void AppSupervisor::teardown_everywhere(const Watched& w,
 
 sim::SimDuration AppSupervisor::backoff_delay(int failed_attempts) {
   // Capped exponential: base * 2^k for the k-th retry after a failure.
-  double delay = sim::to_seconds(capped_backoff(params_.recovery_backoff,
-                                                params_.recovery_backoff_max,
-                                                failed_attempts));
-  if (params_.recovery_jitter > 0) {
-    delay *= 1.0 - params_.recovery_jitter +
-             2.0 * params_.recovery_jitter * backoff_rng_.uniform01();
-  }
+  double delay = sim::to_seconds(
+      capped_backoff(kRecoveryBackoff, kRecoveryBackoffMax, failed_attempts));
+  delay *= 1.0 - kRecoveryJitter +
+           2.0 * kRecoveryJitter * backoff_rng_.uniform01();
   return sim::from_seconds(delay);
 }
 
@@ -240,8 +231,7 @@ void AppSupervisor::recover(runtime::AppId app) {
   auto w = std::move(it->second);
   watched_.erase(it);
 
-  if (params_.max_recoveries > 0 &&
-      w->recoveries >= params_.max_recoveries) {
+  if (w->recoveries >= kMaxRecoveries) {
     gave_up_->add();
     if (w->events) {
       w->events(Event{Event::Kind::kGaveUp, app, 0});
@@ -269,7 +259,7 @@ void AppSupervisor::recover(runtime::AppId app) {
 
   // Un-jittered settle delay so teardowns land before fresh stats are
   // gathered; jitter only kicks in for retries after a failure.
-  schedule_recompose(std::move(state), params_.recovery_backoff);
+  schedule_recompose(std::move(state), kRecoveryBackoff);
 }
 
 void AppSupervisor::schedule_recompose(std::shared_ptr<RecoveryState> state,
@@ -295,8 +285,7 @@ void AppSupervisor::schedule_recompose(std::shared_ptr<RecoveryState> state,
                   state->events(Event{Event::Kind::kRecoveryFailed,
                                       state->original_app, retry.app});
                 }
-                if (params_.max_recoveries > 0 &&
-                    state->attempts_done >= params_.max_recoveries) {
+                if (state->attempts_done >= kMaxRecoveries) {
                   gave_up_->add();
                   if (state->events) {
                     state->events(

@@ -23,33 +23,31 @@ class RateAdapter;
 
 class AppSupervisor {
  public:
-  struct Params {
-    /// Health-probe period.
-    sim::SimDuration check_interval = sim::sec(2);
-    /// A check is a strike when delivery progress since the previous
-    /// check is below this fraction of the expected unit count.
-    double min_progress_fraction = 0.3;
-    /// Consecutive strikes (or probe timeouts) before recovery.
-    int strikes_to_recover = 2;
-    /// Probe timeout.
-    sim::SimDuration probe_timeout = sim::msec(1500);
-    /// Maximum recovery attempts per application (0 = unlimited). Failed
-    /// re-compositions count against the budget too.
-    int max_recoveries = 3;
-    /// Settle delay before the first re-composition (teardowns must land
-    /// before fresh stats are gathered); also the base of the exponential
-    /// backoff applied to retries after a failed re-composition.
-    sim::SimDuration recovery_backoff = sim::msec(300);
-    /// Cap on the backed-off retry delay.
-    sim::SimDuration recovery_backoff_max = sim::sec(15);
-    /// Retry delays are scaled by uniform(1 +/- jitter) so supervisors on
-    /// different nodes do not re-probe a congested deployment in
-    /// lockstep. Drawn from a private seeded RNG — deterministic per
-    /// (jitter_seed, node), and never touching the simulation's root
-    /// stream. 0 disables jitter.
-    double recovery_jitter = 0.2;
-    std::uint64_t jitter_seed = 0x524153435F535550ull;  // "RASC_SUP"
-  };
+  /// Health-probe period.
+  static constexpr sim::SimDuration kCheckInterval = sim::sec(2);
+  /// A check is a strike when delivery progress since the previous check
+  /// is below this fraction of the expected unit count.
+  static constexpr double kMinProgressFraction = 0.3;
+  /// Consecutive strikes (or probe timeouts) before recovery.
+  static constexpr int kStrikesToRecover = 2;
+  /// Probe timeout.
+  static constexpr sim::SimDuration kProbeTimeout = sim::msec(1500);
+  /// Maximum recovery attempts per application. Failed re-compositions
+  /// count against the budget too.
+  static constexpr int kMaxRecoveries = 3;
+  /// Settle delay before the first re-composition (teardowns must land
+  /// before fresh stats are gathered); also the base of the exponential
+  /// backoff applied to retries after a failed re-composition.
+  static constexpr sim::SimDuration kRecoveryBackoff = sim::msec(300);
+  /// Cap on the backed-off retry delay.
+  static constexpr sim::SimDuration kRecoveryBackoffMax = sim::sec(15);
+  /// Retry delays are scaled by uniform(1 +/- jitter) so supervisors on
+  /// different nodes do not re-probe a congested deployment in lockstep.
+  /// Drawn from a private seeded RNG — deterministic per (kJitterSeed,
+  /// node), and never touching the simulation's root stream.
+  static constexpr double kRecoveryJitter = 0.2;
+  /// "RASC_SUP".
+  static constexpr std::uint64_t kJitterSeed = 0x524153435F535550ull;
 
   /// Events reported to the owner.
   struct Event {
@@ -64,10 +62,8 @@ class AppSupervisor {
   /// one is owned). Probe, strike and recovery outcomes are published
   /// under supervisor.* with this node's label.
   AppSupervisor(sim::Simulator& simulator, sim::Network& network,
-                Coordinator& coordinator, Composer& composer, Params params,
+                Coordinator& coordinator, Composer& composer,
                 obs::MetricRegistry* registry = nullptr);
-  AppSupervisor(sim::Simulator& simulator, sim::Network& network,
-                Coordinator& coordinator, Composer& composer);
   ~AppSupervisor();
 
   AppSupervisor(const AppSupervisor&) = delete;
@@ -139,7 +135,6 @@ class AppSupervisor {
   sim::Network& network_;
   Coordinator& coordinator_;
   Composer& composer_;
-  Params params_;
   sim::NodeIndex node_;
   RateAdapter* adapter_ = nullptr;
 

@@ -65,9 +65,7 @@ ShardControlPlane::ShardControlPlane(World& world, Config config,
     params.nodes = nodes;
     params.batch_window = config_.batch_window;
     params.policy = policy;
-    params.repair_attempts = config_.repair_attempts;
     params.lease.renew_period = config_.lease_renew;
-    params.lease.stagger = config_.lease_stagger;
     auto& host = world.host(std::size_t(home));
     shards_.push_back(std::make_unique<core::CoordinatorShard>(
         world.simulator(), world.network(), world.overlay().at(std::size_t(home)),
@@ -94,13 +92,10 @@ ShardControlPlane::ShardControlPlane(World& world, Config config,
       params.nodes = nodes;
       params.batch_window = config_.batch_window;
       params.policy = policy;
-      params.repair_attempts = config_.repair_attempts;
       params.lease.renew_period = config_.lease_renew;
-      params.lease.stagger = config_.lease_stagger;
       params.standby = true;
       params.primary_home = home_of(s);
       params.standby_check = config_.standby_check;
-      params.reconstruct_timeout = config_.reconstruct_timeout;
       params.default_deadline_ms = config_.default_deadline_ms;
       auto& host = world.host(std::size_t(home));
       standbys_.push_back(std::make_unique<core::CoordinatorShard>(
@@ -133,7 +128,8 @@ void ShardControlPlane::set_adopt_handler(
 sim::SimDuration ShardControlPlane::warmup() const {
   // One full renewal sweep (staggered across the fleet), plus a second
   // for the last grants' round trips to land.
-  return config_.lease_stagger * std::int64_t(world_.size()) + sim::sec(1);
+  return core::LeaseManager::kStagger * std::int64_t(world_.size()) +
+         sim::sec(1);
 }
 
 void ShardControlPlane::submit(const core::ServiceRequest& request,
@@ -211,7 +207,7 @@ void ShardControlPlane::dispatch(const core::ServiceRequest& request,
         // back off (linearly, re-checking suspicion each time — a shard
         // may yet recover) and reject after the retry budget.
         int& attempts = unreachable_attempts_[request.app];
-        if (attempts < config_.submit_retries) {
+        if (attempts < kSubmitRetries) {
           ++attempts;
           lazy_counter("shard.submit_retries", submit_retries_).add();
           const auto backoff = kUnreachableBackoff * attempts;
@@ -257,7 +253,7 @@ void ShardControlPlane::retry_pending(runtime::AppId app) {
   const auto it = pending_.find(app);
   if (it == pending_.end()) return;  // resolved in time
   auto& pending = it->second;
-  if (pending.attempts >= config_.submit_retries) {
+  if (pending.attempts >= kSubmitRetries) {
     // Out of re-submissions: wait for an outcome of the copies already
     // in flight (the deploy timeout bounds how long that takes).
     return;

@@ -39,9 +39,6 @@ class ShardControlPlane {
     /// Node-side grant lifetime and shard-side renewal cadence.
     sim::SimDuration lease_duration = sim::sec(12);
     sim::SimDuration lease_renew = sim::sec(5);
-    /// Spacing of per-node lease requests inside one renewal sweep.
-    sim::SimDuration lease_stagger = sim::msec(1);
-    int repair_attempts = 2;
     /// Composition algorithm every shard runs (its own instance).
     std::string algorithm = "mincost";
     /// Cost-model knobs handed to every shard's composer (latency SLO
@@ -56,20 +53,20 @@ class ShardControlPlane {
     /// fleet and adopts the orphaned apps.
     bool standby = false;
     sim::SimDuration standby_check = sim::msec(500);
-    sim::SimDuration reconstruct_timeout = sim::sec(1);
     /// Deadline stamped on adopted requests (the original SLO is not
     /// recoverable from runtime state).
     double default_deadline_ms = 0;
     /// Source-side submission journal: when > 0, a submission whose
     /// outcome has not arrived after this long is re-submitted (the
-    /// routing re-checks shard suspicion), up to submit_retries times —
+    /// routing re-checks shard suspicion), up to kSubmitRetries times —
     /// covering requests that died in a crashed primary's batch window.
     /// 0 (default) keeps the journal off and the plane byte-inert.
     sim::SimDuration submit_retry = 0;
-    /// Bound on journal re-submissions and on the backoff retries of the
-    /// all-shards-suspect path.
-    int submit_retries = 2;
   };
+
+  /// Bound on journal re-submissions and on the backoff retries of the
+  /// all-shards-suspect path.
+  static constexpr int kSubmitRetries = 2;
 
   /// Wires granters and shards into `world`'s hosts. `rng` seeds the
   /// per-shard composer randomness (split per shard).

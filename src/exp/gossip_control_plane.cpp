@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/discovery.hpp"
 #include "util/logging.hpp"
 
 namespace rasc::exp {
@@ -41,9 +42,7 @@ struct GossipControlPlane::Pending {
   sim::SimTime stream_stop = 0;
   core::Coordinator::Callback done;
 
-  std::size_t lookups_outstanding = 0;
-  std::map<std::string, std::vector<sim::NodeIndex>> providers;
-  std::vector<std::string> failed_services;
+  core::ProviderMap providers;
   int attempts_left = 0;
 };
 
@@ -120,18 +119,15 @@ void GossipControlPlane::start(sim::SimTime at) {
 }
 
 sim::SimDuration GossipControlPlane::warmup() const {
-  int rounds = config_.warmup_rounds;
-  if (rounds <= 0) {
-    // Full view coverage: each digest carries `digest_capacity_` entries
-    // and consecutive rounds cover consecutive view chunks, so one sweep
-    // is ceil(N / capacity) rounds; epidemic spread over fanout peers
-    // multiplies that by a small dissemination depth. Plus slack for the
-    // first summaries to exist at all.
-    const double per_sweep =
-        std::ceil(double(world_.size()) /
-                  double(std::max<std::int64_t>(1, digest_capacity_)));
-    rounds = int(3.0 * per_sweep) + 10;
-  }
+  // Full view coverage: each digest carries `digest_capacity_` entries and
+  // consecutive rounds cover consecutive view chunks, so one sweep is
+  // ceil(N / capacity) rounds; epidemic spread over fanout peers multiplies
+  // that by a small dissemination depth. Plus slack for the first
+  // summaries to exist at all.
+  const double per_sweep =
+      std::ceil(double(world_.size()) /
+                double(std::max<std::int64_t>(1, digest_capacity_)));
+  const int rounds = int(3.0 * per_sweep) + 10;
   return config_.agent.interval * rounds + sim::sec(1);
 }
 
@@ -169,35 +165,24 @@ void GossipControlPlane::submit(const core::ServiceRequest& request,
   pending->stream_start = stream_start;
   pending->stream_stop = stream_stop;
   pending->done = std::move(done);
-  pending->attempts_left = config_.repair_attempts;
+  pending->attempts_left = kRepairAttempts;
 
   // Provider discovery through the DHT exactly as the centralized
   // coordinator does it — what gossip replaces is the stats fan-out, not
   // service discovery.
-  const auto services = request.distinct_services();
-  pending->lookups_outstanding = services.size();
-  Client& client = clients_[std::size_t(request.source)];
-  for (const auto& service : services) {
-    client.registry->lookup(
-        service, [this, pending, service](
-                     bool found, std::vector<sim::NodeIndex> providers) {
-          if (!found || providers.empty()) {
-            pending->failed_services.push_back(service);
-          } else {
-            pending->providers[service] = std::move(providers);
-          }
-          if (--pending->lookups_outstanding > 0) return;
-          if (!pending->failed_services.empty()) {
-            core::SubmitOutcome outcome;
-            outcome.compose.error =
-                "discovery failed for service " +
-                pending->failed_services.front();
-            finish(pending, outcome);
-            return;
-          }
-          compose_and_deploy(pending);
-        });
-  }
+  core::discover_providers(
+      world_.simulator(), *clients_[std::size_t(request.source)].registry,
+      request.distinct_services(),
+      [this, pending](core::ProviderMap providers, std::string error) {
+        if (!error.empty()) {
+          core::SubmitOutcome outcome;
+          outcome.compose.error = std::move(error);
+          finish(pending, outcome);
+          return;
+        }
+        pending->providers = std::move(providers);
+        compose_and_deploy(pending);
+      });
 }
 
 void GossipControlPlane::compose_and_deploy(

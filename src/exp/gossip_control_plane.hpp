@@ -11,7 +11,7 @@
 // kPoolShard sentinel, so every target node's LeaseGranter debits its
 // live pool as the authoritative admission check; a mid-deploy NACK rolls
 // the attempt back (PR-5 epoch machinery), marks the NACKing nodes
-// suspect in the local view and recomposes, bounded by repair_attempts.
+// suspect in the local view and recomposes, bounded by kRepairAttempts.
 //
 // Constructed only for --control-plane=gossip runs: a centralized or
 // sharded run never instantiates agents, never interns the gossip.digest
@@ -32,13 +32,11 @@ namespace rasc::exp {
 
 class GossipControlPlane {
  public:
+  /// NACK-repair recompositions allowed per request.
+  static constexpr int kRepairAttempts = 2;
+
   struct Config {
     gossip::Agent::Params agent;
-    /// NACK-repair recompositions allowed per request.
-    int repair_attempts = 2;
-    /// Rounds of dissemination before submissions open; 0 = derive from
-    /// fleet size and digest capacity (full view coverage plus margin).
-    int warmup_rounds = 0;
     core::GossipComposer::Options composer;
   };
 
@@ -55,6 +53,8 @@ class GossipControlPlane {
 
   /// Time from start() until every view has had one full dissemination
   /// sweep; submissions before this see mostly-empty views and reject.
+  /// Derived from fleet size and digest capacity (full view coverage plus
+  /// margin).
   sim::SimDuration warmup() const;
 
   /// Composes and deploys `request` at its source node from the local

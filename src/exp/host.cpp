@@ -28,8 +28,7 @@ Host::Host(sim::Simulator& simulator, sim::Network& network,
       simulator, network, pastry, *stats_, catalog, registry, deploy_policy);
   recovery_composer_ = std::make_unique<core::MinCostComposer>();
   supervisor_ = std::make_unique<core::AppSupervisor>(
-      simulator, network, *coordinator_, *recovery_composer_,
-      core::AppSupervisor::Params(), registry);
+      simulator, network, *coordinator_, *recovery_composer_, registry);
 
   network.set_handler(node, [](const sim::Packet& packet) {
     RASC_LOG(kWarn) << "host " << packet.dst << ": unhandled packet kind "

@@ -4,6 +4,13 @@
 #include <cassert>
 
 namespace rasc::exp {
+namespace {
+
+/// Probability a request's services are split across two substreams (the
+/// paper's example request graph has two).
+constexpr double kTwoSubstreamProb = 0.25;
+
+}  // namespace
 
 std::vector<core::ServiceRequest> generate_workload(
     const WorkloadConfig& config, const std::vector<std::string>& services,
@@ -35,7 +42,7 @@ std::vector<core::ServiceRequest> generate_workload(
                         rng.uniform_double(1.0 - config.rate_jitter,
                                            1.0 + config.rate_jitter);
 
-    const bool split = count >= 2 && rng.bernoulli(config.two_substream_prob);
+    const bool split = count >= 2 && rng.bernoulli(kTwoSubstreamProb);
     if (split) {
       const int first = int(rng.uniform_int(1, count - 1));
       core::Substream a;

@@ -19,9 +19,6 @@ struct WorkloadConfig {
   double rate_jitter = 0.2;
   int min_services = 2;
   int max_services = 5;
-  /// Probability a request's services are split across two substreams
-  /// (the paper's example request graph has two).
-  double two_substream_prob = 0.25;
   std::int64_t unit_bytes = 1250;
 };
 

@@ -240,7 +240,7 @@ bool SspSolver::find_admissible_path(const Graph&, NodeId source,
 }
 
 SolveResult SspSolver::solve(Graph& graph, NodeId source, NodeId sink,
-                             FlowUnit demand, const SolveOptions& options) {
+                             FlowUnit demand) {
   assert(source != sink);
   assert(demand >= 0);
   const auto n = std::size_t(graph.num_nodes());
@@ -250,12 +250,8 @@ SolveResult SspSolver::solve(Graph& graph, NodeId source, NodeId sink,
   sync_topology(graph);
   pull_caps(graph);
 
-  const bool warm =
-      options.warm_start && same_topology && potentials_valid(graph);
-  if (!warm) {
-    const bool has_negative =
-        options.assume_nonnegative_costs ? false : has_negative_arc(graph);
-    if (has_negative) {
+  if (!same_topology || !potentials_valid(graph)) {
+    if (has_negative_arc(graph)) {
       const bool ok = bellman_ford(graph, source);
       assert(ok && "negative cycle in composition graph");
       (void)ok;

@@ -8,7 +8,7 @@
 //
 // The solver is a reusable object: its Dijkstra/DFS workspaces, heap
 // storage, and flattened adjacency snapshot persist across calls, and the
-// node potentials can be warm-started between the composer's repair
+// node potentials are warm-started between the composer's repair
 // iterations (see DESIGN.md "Solver internals & performance").
 #pragma once
 
@@ -26,19 +26,6 @@ struct SolveResult {
   bool feasible = false;
 };
 
-struct SolveOptions {
-  /// Caller certifies every arc cost is >= 0, so the per-call negative-arc
-  /// scan and the Bellman–Ford bootstrap are skipped. Composition graphs
-  /// always qualify (costs are drop ratios).
-  bool assume_nonnegative_costs = false;
-  /// Reuse the potentials left by the previous solve on a graph with the
-  /// same structure_key(). They are validated in one O(arcs) pass (capacity
-  /// edits can invalidate them) and discarded when stale, so this is always
-  /// safe — just faster when the caller re-solves after small capacity
-  /// changes, as the composer's repair loop does.
-  bool warm_start = false;
-};
-
 /// Reusable min-cost-flow solver.
 ///
 /// One instance holds all per-solve scratch state:
@@ -51,6 +38,15 @@ struct SolveOptions {
 ///    (a partial blocking flow) before re-running Dijkstra, instead of one
 ///    shortest path per Dijkstra.
 ///
+/// Every solve on a graph with the same structure_key() as the previous
+/// one reuses that solve's potentials. They are validated in one O(arcs)
+/// pass (capacity edits can invalidate them) and discarded when stale, so
+/// this is always safe — just faster when the caller re-solves after
+/// small capacity changes, as the composer's repair loop does. A cold
+/// solve scans for negative-cost arcs and bootstraps the potentials with
+/// Bellman–Ford only when it finds one; composition graphs never have
+/// any (costs are drop ratios).
+///
 /// Not thread-safe; use one instance per thread.
 class SspSolver {
  public:
@@ -59,7 +55,7 @@ class SspSolver {
   /// cannot carry the full demand, the result carries the max routable
   /// amount (still at min cost for that amount) and feasible == false.
   SolveResult solve(Graph& graph, NodeId source, NodeId sink,
-                    FlowUnit demand, const SolveOptions& options = {});
+                    FlowUnit demand);
 
  private:
   void sync_topology(const Graph& graph);

@@ -13,9 +13,9 @@ NodeMonitor::NodeMonitor(sim::Simulator& simulator, sim::Network& network,
       network_(network),
       node_(node),
       params_(params),
-      in_kbps_window_(params.bandwidth_window),
-      out_kbps_window_(params.bandwidth_window),
-      cpu_window_(params.bandwidth_window),
+      in_kbps_window_(kBandwidthWindow),
+      out_kbps_window_(kBandwidthWindow),
+      cpu_window_(kBandwidthWindow),
       outcomes_(params.outcome_window),
       owned_registry_(registry ? nullptr
                                : std::make_unique<obs::MetricRegistry>()),
@@ -29,8 +29,8 @@ NodeMonitor::NodeMonitor(sim::Simulator& simulator, sim::Network& network,
   queue_length_gauge_ = &registry_->gauge("monitor.queue_length", labels);
   last_bytes_in_ = network_.bytes_received(node_);
   last_bytes_out_ = network_.bytes_sent(node_);
-  sample_event_ = simulator_.call_after(params_.sample_period,
-                                        [this] { sample_bandwidth(); });
+  sample_event_ =
+      simulator_.call_after(kSamplePeriod, [this] { sample_bandwidth(); });
 }
 
 NodeMonitor::~NodeMonitor() {
@@ -54,13 +54,13 @@ void NodeMonitor::set_blackout(bool on) {
 void NodeMonitor::sample_bandwidth() {
   if (stopped_) return;
   if (blackout_) {
-    sample_event_ = simulator_.call_after(params_.sample_period,
-                                          [this] { sample_bandwidth(); });
+    sample_event_ =
+        simulator_.call_after(kSamplePeriod, [this] { sample_bandwidth(); });
     return;
   }
   const std::int64_t in_now = network_.bytes_received(node_);
   const std::int64_t out_now = network_.bytes_sent(node_);
-  const double secs = sim::to_seconds(params_.sample_period);
+  const double secs = sim::to_seconds(kSamplePeriod);
   // bytes -> kilobits: *8/1000.
   in_kbps_window_.add(double(in_now - last_bytes_in_) * 8.0 / 1000.0 / secs);
   out_kbps_window_.add(double(out_now - last_bytes_out_) * 8.0 / 1000.0 /
@@ -74,8 +74,8 @@ void NodeMonitor::sample_bandwidth() {
   cpu_fraction_gauge_->set(cpu_window_.mean());
   drop_ratio_gauge_->set(outcomes_.ratio());
   queue_length_gauge_->set(double(queue_length_));
-  sample_event_ = simulator_.call_after(params_.sample_period,
-                                        [this] { sample_bandwidth(); });
+  sample_event_ =
+      simulator_.call_after(kSamplePeriod, [this] { sample_bandwidth(); });
 }
 
 void NodeMonitor::on_unit_processed() { outcomes_.record(false); }

@@ -26,13 +26,14 @@ namespace rasc::monitor {
 
 class NodeMonitor {
  public:
+  /// Bandwidth sampling period.
+  static constexpr sim::SimDuration kSamplePeriod = sim::msec(100);
+  /// Number of bandwidth samples averaged. Queue drains upstream make
+  /// arrivals clumpy; a ~3 s window keeps one burst from spuriously
+  /// zeroing a node's reported availability.
+  static constexpr std::size_t kBandwidthWindow = 30;
+
   struct Params {
-    /// Bandwidth sampling period.
-    sim::SimDuration sample_period = sim::msec(100);
-    /// Number of bandwidth samples averaged. Queue drains upstream make
-    /// arrivals clumpy; a ~3 s window keeps one burst from spuriously
-    /// zeroing a node's reported availability.
-    std::size_t bandwidth_window = 30;
     /// Number of unit outcomes in the drop-ratio window (the paper's h).
     std::size_t outcome_window = 200;
     /// When true, snapshots advertise bandwidth reservations so admission

@@ -43,7 +43,7 @@ struct NodeStats {
   // Zero means drop_ratio carries no information: the node has processed
   // nothing yet, not that it is drop-free. Cost-assignment sites must
   // check this before trusting drop_ratio (see
-  // MinCostComposer::Options::unknown_drop_prior).
+  // ResidualTracker::priced_drop_ratio).
   std::int64_t drop_samples = 0;
 
   // Scheduler snapshot (informational; used by tests and examples).

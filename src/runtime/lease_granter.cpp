@@ -66,10 +66,8 @@ void LeaseGranter::pool_kbps(double& in_kbps, double& out_kbps) const {
       std::max(s.used_in_kbps, monitor_.reserved_in_kbps());
   const double used_out =
       std::max(s.used_out_kbps, monitor_.reserved_out_kbps());
-  in_kbps =
-      std::max(0.0, params_.headroom * s.capacity_in_kbps - used_in);
-  out_kbps =
-      std::max(0.0, params_.headroom * s.capacity_out_kbps - used_out);
+  in_kbps = std::max(0.0, kHeadroom * s.capacity_in_kbps - used_in);
+  out_kbps = std::max(0.0, kHeadroom * s.capacity_out_kbps - used_out);
 }
 
 double LeaseGranter::target_share(std::int32_t shard, double pool,
@@ -188,9 +186,8 @@ void LeaseGranter::grant(std::int32_t shard, sim::NodeIndex requester,
     total_out += live.out_kbps;
   }
   const monitor::NodeStats caps = monitor_.snapshot();
-  const double over =
-      std::max(total_in - params_.headroom * caps.capacity_in_kbps,
-               total_out - params_.headroom * caps.capacity_out_kbps);
+  const double over = std::max(total_in - kHeadroom * caps.capacity_in_kbps,
+                               total_out - kHeadroom * caps.capacity_out_kbps);
   if (over > overgrant_high_water_ + kDebitSlackKbps) {
     overgrant_high_water_ = over;
     overgrant_gauge_->set(overgrant_high_water_);

@@ -35,13 +35,14 @@ namespace rasc::runtime {
 
 class LeaseGranter {
  public:
+  /// Fraction of the monitored availability the node is willing to
+  /// promise across all shards (control-traffic headroom).
+  static constexpr double kHeadroom = 0.95;
+
   struct Params {
     /// Lifetime of one grant; a shard that stops renewing loses its
     /// share this long after the last grant.
     sim::SimDuration lease_duration = sim::sec(12);
-    /// Fraction of the monitored availability the node is willing to
-    /// promise across all shards (control-traffic headroom).
-    double headroom = 0.95;
     /// Fleet size: each (re)grant hands out free/`shards` so the shares
     /// converge to an equal split as renewals sweep.
     int shards = 1;

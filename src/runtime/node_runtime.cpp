@@ -29,7 +29,7 @@ NodeRuntime::NodeRuntime(sim::Simulator& simulator, sim::Network& network,
       monitor_(node_monitor),
       catalog_(catalog),
       params_(params),
-      scheduler_(params.policy, params.max_ready_queue),
+      scheduler_(params.policy, kMaxReadyQueue),
       exec_rng_(simulator.rng().split(0x65786563u ^ std::uint64_t(node))),
       owned_registry_(registry ? nullptr
                                : std::make_unique<obs::MetricRegistry>()),
@@ -335,9 +335,10 @@ double NodeRuntime::reserved_kbps_for_app(AppId app) const {
   // (substream, stage), then endpoints by ascending key.
   std::vector<std::pair<std::pair<std::int32_t, std::int32_t>, double>>
       parts;
-  for (const auto& [key, res] : component_reservations_) {
+  for (const auto& [key, hosted] : components_) {
     if (key.app != app) continue;
-    parts.push_back({{key.substream, key.stage}, res.first + res.second});
+    parts.push_back({{key.substream, key.stage},
+                     hosted.in_kbps + hosted.out_kbps});
   }
   std::sort(parts.begin(), parts.end());
   double total = 0;
@@ -372,19 +373,24 @@ void NodeRuntime::deploy_component(const ComponentKey& key,
 
   auto component = std::make_unique<Component>(key, spec, rate_units_per_sec,
                                                std::move(next));
-  auto& hosted = components_[key];
-  if (hosted) {
+  Hosted& hosted = components_[key];
+  if (hosted.instance) {
     // A redeploy over a live instance (rate-adapter add, supervisor
     // repair). Units already queued for the old instance still point at
-    // it: keep it alive so they dispatch and finish unroutable.
-    forget_running(hosted.get());
-    retired_.push_back(std::move(hosted));
+    // it: keep it alive so they dispatch and finish unroutable. Its
+    // reservation goes with it.
+    forget_running(hosted.instance.get());
+    retired_.push_back(std::move(hosted.instance));
+    release(hosted);
   }
-  hosted = std::move(component);
-  component_reservations_[key] = {in_kbps, out_kbps};
-  component_cpu_reservations_[key] = cpu_fraction;
+  hosted = Hosted{std::move(component), in_kbps, out_kbps, cpu_fraction};
   monitor_.add_reservation(in_kbps, out_kbps);
   monitor_.add_cpu_reservation(cpu_fraction);
+}
+
+void NodeRuntime::release(const Hosted& hosted) {
+  monitor_.add_reservation(-hosted.in_kbps, -hosted.out_kbps);
+  monitor_.add_cpu_reservation(-hosted.cpu_fraction);
 }
 
 void NodeRuntime::deploy_sink(AppId app, std::int32_t substream,
@@ -393,8 +399,10 @@ void NodeRuntime::deploy_sink(AppId app, std::int32_t substream,
   const std::uint64_t key = endpoint_key(app, substream);
   const std::uint32_t incarnation = sink_incarnations_[key]++;
   Endpoint& endpoint = endpoints_[key];
+  if (endpoint.sink.has_value()) {
+    monitor_.add_reservation(-endpoint.sink_reserved_kbps, 0);
+  }
   endpoint.sink.emplace(rate_units_per_sec,
-                        params_.timely_tolerance_periods,
                         /*reorder_tolerance_periods=*/1.0, registry_,
                         endpoint_labels(app, substream, incarnation));
   const double in_kbps = reservation_kbps(rate_units_per_sec, unit_bytes);
@@ -418,6 +426,9 @@ void NodeRuntime::deploy_source(AppId app, std::int32_t substream,
   source->run(start_at, stop_at);
   const double out_kbps = reservation_kbps(rate_units_per_sec, unit_bytes);
   Endpoint& endpoint = endpoints_[key];
+  if (endpoint.source) {
+    monitor_.add_reservation(0, -endpoint.source_reserved_kbps);
+  }
   endpoint.source = std::move(source);
   endpoint.source_reserved_kbps = out_kbps;
   endpoint.source_rate_ups = rate_units_per_sec;
@@ -431,7 +442,8 @@ void NodeRuntime::update_component(const ComponentKey& key,
                                    std::vector<Placement> next) {
   const auto it = components_.find(key);
   if (it == components_.end()) return;  // stale delta; next round repairs
-  const ServiceSpec& spec = it->second->spec();
+  Hosted& hosted = it->second;
+  const ServiceSpec& spec = hosted.instance->spec();
   const std::int64_t out_unit_bytes = std::int64_t(
       double(in_unit_bytes) * spec.output_size_factor + 0.5);
   const double in_kbps = reservation_kbps(rate_units_per_sec, in_unit_bytes);
@@ -440,31 +452,21 @@ void NodeRuntime::update_component(const ComponentKey& key,
   const double cpu_fraction =
       rate_units_per_sec * sim::to_seconds(spec.cpu_time_per_unit);
 
-  auto& reservation = component_reservations_[key];
-  monitor_.add_reservation(in_kbps - reservation.first,
-                           out_kbps - reservation.second);
-  reservation = {in_kbps, out_kbps};
-  double& cpu_reservation = component_cpu_reservations_[key];
-  monitor_.add_cpu_reservation(cpu_fraction - cpu_reservation);
-  cpu_reservation = cpu_fraction;
+  monitor_.add_reservation(in_kbps - hosted.in_kbps,
+                           out_kbps - hosted.out_kbps);
+  monitor_.add_cpu_reservation(cpu_fraction - hosted.cpu_fraction);
+  hosted.in_kbps = in_kbps;
+  hosted.out_kbps = out_kbps;
+  hosted.cpu_fraction = cpu_fraction;
 
-  it->second->reconfigure(rate_units_per_sec, std::move(next));
+  hosted.instance->reconfigure(rate_units_per_sec, std::move(next));
 }
 
 void NodeRuntime::remove_component(const ComponentKey& key) {
   const auto it = components_.find(key);
   if (it == components_.end()) return;
-  const auto res = component_reservations_.find(key);
-  if (res != component_reservations_.end()) {
-    monitor_.add_reservation(-res->second.first, -res->second.second);
-    component_reservations_.erase(res);
-  }
-  const auto cpu = component_cpu_reservations_.find(key);
-  if (cpu != component_cpu_reservations_.end()) {
-    monitor_.add_cpu_reservation(-cpu->second);
-    component_cpu_reservations_.erase(cpu);
-  }
-  forget_running(it->second.get());
+  release(it->second);
+  forget_running(it->second.instance.get());
   components_.erase(it);
   // Queued units of this instance point at the component just destroyed;
   // purge them before the scheduler can touch them (cf. teardown_app).
@@ -505,17 +507,8 @@ void NodeRuntime::teardown_app(AppId app) {
   if (granter_ != nullptr) granter_->release_app(app);
   for (auto it = components_.begin(); it != components_.end();) {
     if (it->first.app == app) {
-      const auto res = component_reservations_.find(it->first);
-      if (res != component_reservations_.end()) {
-        monitor_.add_reservation(-res->second.first, -res->second.second);
-        component_reservations_.erase(res);
-      }
-      const auto cpu = component_cpu_reservations_.find(it->first);
-      if (cpu != component_cpu_reservations_.end()) {
-        monitor_.add_cpu_reservation(-cpu->second);
-        component_cpu_reservations_.erase(cpu);
-      }
-      forget_running(it->second.get());
+      release(it->second);
+      forget_running(it->second.instance.get());
       it = components_.erase(it);
     } else {
       ++it;
@@ -575,7 +568,7 @@ SinkStats NodeRuntime::aggregate_sink_stats() const {
 
 const Component* NodeRuntime::find_component(const ComponentKey& key) const {
   const auto it = components_.find(key);
-  return it == components_.end() ? nullptr : it->second.get();
+  return it == components_.end() ? nullptr : it->second.instance.get();
 }
 
 const StreamSink* NodeRuntime::find_sink(AppId app,
@@ -627,7 +620,7 @@ void NodeRuntime::on_data_unit(
     return;
   }
 
-  Component& component = *comp_it->second;
+  Component& component = *comp_it->second.instance;
   ScheduledUnit scheduled;
   scheduled.unit = unit;
   scheduled.component = &component;
@@ -747,7 +740,7 @@ void NodeRuntime::receive(const ShardRecoverRequestMsg& req) {
   for (const auto& [key, component] : components_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   for (const ComponentKey& key : keys) {
-    const Component& c = *components_.at(key);
+    const Component& c = *components_.at(key).instance;
     ShardRecoverReplyMsg::ComponentState state;
     state.key = key;
     state.service = c.spec().name;

@@ -40,11 +40,11 @@ struct ShardRecoverRequestMsg;
 
 class NodeRuntime {
  public:
+  /// Ready-queue bound of the node's CPU scheduler.
+  static constexpr std::size_t kMaxReadyQueue = 64;
+
   struct Params {
     SchedulingPolicy policy = SchedulingPolicy::kLeastLaxity;
-    std::size_t max_ready_queue = 64;
-    /// Tolerance used by sinks for the "flawless delivery" metric.
-    double timely_tolerance_periods = 1.0;
     /// Orphan reaper lease (0 = reaper off, the default). Components and
     /// sinks of an app that never streamed a unit through this node
     /// self-garbage-collect once this long passes without any control
@@ -176,6 +176,16 @@ class NodeRuntime {
     bool empty() const { return !sink.has_value() && source == nullptr; }
   };
 
+  /// One hosted component instance and what it reserved with the monitor.
+  /// Whatever replaces or removes the instance (redeploy over its key,
+  /// remove_component, teardown_app) releases the reservation with it.
+  struct Hosted {
+    std::unique_ptr<Component> instance;
+    double in_kbps = 0;
+    double out_kbps = 0;
+    double cpu_fraction = 0;
+  };
+
   /// Per-app control-plane state: the deployment epoch ordering rule, the
   /// rollback tombstone, and the orphan-reaper lease.
   struct AppControl {
@@ -211,6 +221,8 @@ class NodeRuntime {
   /// Called before `component` is destroyed: a unit it holds on the CPU
   /// finishes unroutable instead of reaching the dangling pointer.
   void forget_running(const Component* component);
+  /// Returns `hosted`'s bandwidth and CPU reservation to the monitor.
+  void release(const Hosted& hosted);
   void send_ack(sim::NodeIndex to, std::uint64_t request_id, bool ok);
   double reservation_kbps(double rate_ups, std::int64_t unit_bytes) const;
 
@@ -256,19 +268,11 @@ class NodeRuntime {
   obs::MetricRegistry* registry_;
   obs::UnitTrace* trace_;
 
-  std::unordered_map<ComponentKey, std::unique_ptr<Component>,
-                     ComponentKeyHash>
-      components_;
+  std::unordered_map<ComponentKey, Hosted, ComponentKeyHash> components_;
   /// Instances replaced by a redeploy of their key. Units queued for them
   /// keep a pointer to them, so they live until their key's units are
   /// purged (remove_component, teardown_app).
   std::vector<std::unique_ptr<Component>> retired_;
-  // Reservation (in,out) per component for teardown bookkeeping.
-  std::unordered_map<ComponentKey, std::pair<double, double>,
-                     ComponentKeyHash>
-      component_reservations_;
-  std::unordered_map<ComponentKey, double, ComponentKeyHash>
-      component_cpu_reservations_;
 
   /// Stream endpoints keyed by endpoint_key(app, substream).
   std::unordered_map<std::uint64_t, Endpoint> endpoints_;

@@ -6,12 +6,11 @@
 namespace rasc::runtime {
 
 StreamSink::StreamSink(double expected_rate_ups,
-                       double timely_tolerance_periods,
                        double reorder_tolerance_periods,
                        obs::MetricRegistry* registry, obs::Labels labels) {
   assert(expected_rate_ups > 0);
   period_ = sim::SimDuration(1e6 / expected_rate_ups);
-  tolerance_ = sim::SimDuration(double(period_) * timely_tolerance_periods);
+  tolerance_ = sim::SimDuration(double(period_) * kTimelyTolerancePeriods);
   reorder_tolerance_ =
       sim::SimDuration(double(period_) * reorder_tolerance_periods);
   if (registry) {

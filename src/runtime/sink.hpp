@@ -47,15 +47,16 @@ struct SinkStats {
 
 class StreamSink {
  public:
+  /// How many periods past its deadline a unit may arrive and still count
+  /// as flawless (timely).
+  static constexpr double kTimelyTolerancePeriods = 1.0;
+
   /// `expected_rate_ups` is the substream's r_req (defines the period);
-  /// `timely_tolerance_periods` is how many periods past the deadline a
-  /// unit may arrive and still count as flawless;
   /// `reorder_tolerance_periods` is the playout-buffer depth: a unit
   /// overtaken by no more than this is still rendered in order.
   /// When `registry` is non-null the sink's cells are created there under
   /// `labels`; otherwise the sink owns private cells.
-  StreamSink(double expected_rate_ups, double timely_tolerance_periods = 1.0,
-             double reorder_tolerance_periods = 1.0,
+  StreamSink(double expected_rate_ups, double reorder_tolerance_periods = 1.0,
              obs::MetricRegistry* registry = nullptr,
              obs::Labels labels = {});
 

@@ -97,10 +97,6 @@ const void* Network::deliver_now(Packet packet) {
   return dispatch(packet);
 }
 
-void Network::set_node_up(NodeIndex node, bool up) {
-  up_.at(std::size_t(node)) = up;
-}
-
 void Network::set_drop_handler(NodeIndex node, DropHandler handler) {
   drop_handlers_.at(std::size_t(node)) = std::move(handler);
 }

@@ -119,10 +119,8 @@ class Network {
   std::size_t size() const { return topology_.size(); }
   const Topology& topology() const { return topology_; }
 
-  /// Marks a node as failed: all traffic to/from it is silently dropped
-  /// (used by the failure-recovery example and fault-injection tests).
-  /// Raw toggle — no counters; prefer fail_node/restore_node.
-  void set_node_up(NodeIndex node, bool up);
+  /// False while a node is failed (fail_node): all traffic to/from it is
+  /// silently dropped.
   bool node_up(NodeIndex node) const { return up_[std::size_t(node)]; }
 
   // --- Chaos hooks (no-ops until used: the baseline packet path is

@@ -4,6 +4,14 @@
 #include <cassert>
 
 namespace rasc::sim {
+namespace {
+
+/// Pareto shape for latency skew (smaller = heavier tail). Latencies are
+/// sampled from a clipped Pareto so most pairs are near, some are far —
+/// the shape seen in PlanetLab all-pairs ping datasets.
+constexpr double kLatencyParetoShape = 1.6;
+
+}  // namespace
 
 Topology make_uniform_topology(std::size_t n, double bw_kbps,
                                SimDuration latency) {
@@ -32,8 +40,8 @@ Topology make_planetlab_like(std::size_t n, util::Xoshiro256& rng,
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       // Clipped Pareto: xm = latency_min, clipped at latency_max.
-      const double raw = rng.pareto(double(params.latency_min),
-                                    params.latency_pareto_shape);
+      const double raw =
+          rng.pareto(double(params.latency_min), kLatencyParetoShape);
       const auto lat = SimDuration(
           std::clamp(raw, double(params.latency_min),
                      double(params.latency_max)));

@@ -53,10 +53,6 @@ struct PlanetLabParams {
   double bw_max_kbps = 4000;
   SimDuration latency_min = msec(10);
   SimDuration latency_max = msec(200);
-  /// Pareto shape for latency skew (smaller = heavier tail). Latencies are
-  /// sampled from a clipped Pareto so most pairs are near, some are far —
-  /// the shape seen in PlanetLab all-pairs ping datasets.
-  double latency_pareto_shape = 1.6;
   /// Per-packet latency jitter fraction (see Topology::latency_jitter).
   double latency_jitter = 0.25;
 };

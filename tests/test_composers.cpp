@@ -114,10 +114,9 @@ TEST(MinCostComposer, PrefersLowDropProviders) {
 }
 
 TEST(MinCostComposer, UnknownDropPriorPricesUnmeasuredNodes) {
-  // Empty-window bias fix: a node with no recorded outcomes must not be
-  // priced by its (meaningless) drop_ratio. By default the prior is 0.0
-  // — legacy behaviour, unproven nodes look drop-free — but a pessimistic
-  // prior steers traffic onto measured nodes instead.
+  // Empty-window bias: a node with no recorded outcomes must not be priced
+  // by its (meaningless) drop_ratio. The prior is 0.0 — unproven nodes
+  // look drop-free — so the unmeasured node wins over a measured 5%.
   const auto cat = catalog();
   auto input = base_input(cat);
   input.request.substreams = {{{"a"}, 100.0}};
@@ -125,24 +124,13 @@ TEST(MinCostComposer, UnknownDropPriorPricesUnmeasuredNodes) {
   unmeasured.drop_samples = 0;             // ...and zero observations
   input.providers["a"] = {unmeasured, node(2, 1000.0, 0.05)};
 
-  MinCostComposer legacy;
-  const auto r0 = legacy.compose(input);
+  MinCostComposer composer;
+  const auto r0 = composer.compose(input);
   ASSERT_TRUE(r0.admitted) << r0.error;
   const auto& p0 = r0.plan.substreams[0].stages[0].placements;
   ASSERT_EQ(p0.size(), 1u);
-  EXPECT_EQ(p0[0].node, 1) << "default prior 0: no data reads as "
-                              "drop-free, and the garbage ratio is "
-                              "ignored either way";
-
-  MinCostComposer::Options opt;
-  opt.unknown_drop_prior = 0.2;
-  MinCostComposer wary(opt);
-  const auto r1 = wary.compose(input);
-  ASSERT_TRUE(r1.admitted) << r1.error;
-  const auto& p1 = r1.plan.substreams[0].stages[0].placements;
-  ASSERT_EQ(p1.size(), 1u);
-  EXPECT_EQ(p1[0].node, 2) << "a 0.2 prior must lose to a measured 5% "
-                              "drop ratio";
+  EXPECT_EQ(p0[0].node, 1) << "prior 0: no data reads as drop-free, and "
+                              "the garbage ratio is ignored";
 }
 
 TEST(MinCostComposer, RejectsWhenAggregateCapacityShort) {

@@ -357,8 +357,7 @@ TEST(DeployReliability, RetransmissionSurvivesControlLoss) {
   for (const bool reliable : {false, true}) {
     exp::WorldConfig wc = small_world();
     if (reliable) {
-      wc.deploy_policy.retransmit_budget = 5;
-      wc.deploy_policy.retransmit_base = sim::msec(300);
+      wc.deploy_policy.retransmit_budget = 5;  // kRetransmitBase: 400 ms
       wc.deploy_policy.rollback = true;
     }
     exp::World world(wc);

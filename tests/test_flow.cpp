@@ -264,14 +264,11 @@ TEST(SspSolver, ReusedInstanceMatchesCycleCancel) {
 // instance.
 TEST(SspSolver, WarmStartResolveAfterCapacityTightening) {
   SspSolver solver;
-  SolveOptions options;
-  options.assume_nonnegative_costs = true;  // instances use costs >= 0
-  options.warm_start = true;
   for (std::uint64_t seed = 200; seed < 230; ++seed) {
     auto inst = make_random_instance(seed);
     Graph& g = inst.graph;
     const auto first =
-        solver.solve(g, inst.source, inst.sink, inst.demand, options);
+        solver.solve(g, inst.source, inst.sink, inst.demand);
     EXPECT_EQ(validate_flow(g, inst.source, inst.sink, first.flow),
               std::nullopt)
         << "seed " << seed;
@@ -288,7 +285,7 @@ TEST(SspSolver, WarmStartResolveAfterCapacityTightening) {
       g.set_capacity(ArcId(a * 2), new_caps[std::size_t(a)]);
     }
     const auto warm =
-        solver.solve(g, inst.source, inst.sink, inst.demand, options);
+        solver.solve(g, inst.source, inst.sink, inst.demand);
 
     // Cold reference on an identically tightened copy.
     auto ref = make_random_instance(seed);

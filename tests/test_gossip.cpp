@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/gossip_composer.hpp"
+#include "exp/gossip_control_plane.hpp"
 #include "exp/runner.hpp"
 #include "gossip/agent.hpp"
 #include "obs/metric_registry.hpp"
@@ -168,7 +169,7 @@ TEST(GossipAgent, StaleEntriesAgeOutAndSuspectsDrop) {
 
   // A silenced node ages out of every view within stale_rounds (plus
   // dissemination slack for copies still circulating).
-  fleet.network.set_node_up(5, false);
+  fleet.network.fail_node(5);
   fleet.simulator.run_until(
       sim::sec(6) + params.interval * (6 * params.stale_rounds));
   for (std::size_t i = 0; i + 1 < fleet.agents.size(); ++i) {
@@ -261,11 +262,44 @@ TEST(GossipComposer, BacktracksWhenGreedyPrefixStrandsALaterStage) {
   EXPECT_EQ(stages[0].placements[0].node, 2);
   EXPECT_EQ(stages[1].placements[0].node, 1);
   EXPECT_GT(composer.last_backtracks(), 0);
+}
 
-  // With a zero budget the same input must fail instead.
-  options.backtrack_budget = 0;
-  core::GossipComposer strict(options);
-  EXPECT_FALSE(strict.compose(input).admitted);
+// --- Gossip control plane ---------------------------------------------
+
+TEST(GossipControlPlane, UnknownServiceFailsDiscoveryNamingIt) {
+  // Provider discovery goes through the same retried DHT lookups as the
+  // coordinators, so a service nobody registered fails with the shared
+  // error that names it.
+  exp::WorldConfig wc;
+  wc.nodes = 16;
+  wc.num_services = 6;
+  wc.services_per_node = 3;
+  wc.seed = 9;
+  exp::World world(wc);
+  auto& sim = world.simulator();
+  exp::GossipControlPlane plane(world, {}, util::Xoshiro256(3));
+  plane.start(sim.now());
+
+  core::ServiceRequest req;
+  req.app = 1;
+  req.source = 0;
+  req.destination = 15;
+  req.unit_bytes = 1250;
+  req.substreams = {{{"svc0", "no-such-service"}, 100.0}};
+  bool done = false;
+  core::SubmitOutcome outcome;
+  sim.call_after(sim::msec(1), [&] {
+    plane.submit(req, 0, sim.now() + sim::sec(10),
+                 [&](const core::SubmitOutcome& o) {
+                   done = true;
+                   outcome = o;
+                 });
+  });
+  sim.run_until(sim.now() + sim::sec(10));
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(outcome.compose.admitted);
+  EXPECT_EQ(outcome.compose.error,
+            "service discovery failed for no-such-service");
 }
 
 // --- End-to-end gossip runs -------------------------------------------

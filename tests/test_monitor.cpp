@@ -135,7 +135,7 @@ TEST(StatsProtocol, QueryTimesOutOnDeadNode) {
   sim::Network net(sim, sim::make_uniform_topology(2, 8000.0, sim::msec(5)));
   NodeMonitor mon0(sim, net, 0);
   StatsAgent agent0(sim, net, 0, mon0);
-  net.set_node_up(1, false);
+  net.fail_node(1);
 
   bool called = false, ok = true;
   agent0.query(1, [&](bool success, const NodeStats&) {
@@ -156,7 +156,7 @@ TEST(StatsProtocol, QueryManyGathersAllReachable) {
     mons.push_back(std::make_unique<NodeMonitor>(sim, net, i));
     agents.push_back(std::make_unique<StatsAgent>(sim, net, i, *mons.back()));
   }
-  net.set_node_up(3, false);  // one target dead
+  net.fail_node(3);  // one target dead
 
   std::vector<NodeStats> got;
   bool done = false;

@@ -106,12 +106,12 @@ TEST_F(NetworkTest, TrafficCountersTrackWireBytes) {
 TEST_F(NetworkTest, DownNodeDropsTraffic) {
   std::vector<SimTime> times;
   expect_delivery(1, &times);
-  net_.set_node_up(1, false);
+  net_.fail_node(1);
   net_.send(0, 1, 1000, ping());
   sim_.run_all();
   EXPECT_TRUE(times.empty());
   EXPECT_EQ(net_.packets_dropped(), 1);
-  net_.set_node_up(1, true);
+  net_.restore_node(1);
   net_.send(0, 1, 1000, ping());
   sim_.run_all();
   EXPECT_EQ(times.size(), 1u);

@@ -181,7 +181,7 @@ TEST(OverlayDht, ValuesSurviveRootFailureViaReplication) {
   // Kill the root and purge it from every node's state (the failure
   // detector's job, done manually here).
   const auto root = f.closest_to(key);
-  f.network.set_node_up(sim::NodeIndex(root), false);
+  f.network.fail_node(sim::NodeIndex(root));
   for (std::size_t i = 0; i < f.overlay.size(); ++i) {
     if (i != root) f.overlay.at(i).purge_peer(sim::NodeIndex(root));
   }

@@ -178,18 +178,17 @@ TEST_P(HubMeshEquivalence, SameFlowAndCostAsMesh) {
   const double demand = rng.uniform_double(1.0, 30.0);
   const double src_cap = rng.uniform_double(0.0, 40.0);
   const double dest_cap = rng.uniform_double(0.0, 40.0);
-  const flow::SolveOptions opts{.assume_nonnegative_costs = true};
 
   core::CompositionGraph hub(caps, src_cap, dest_cap, demand);
   flow::SspSolver hub_solver;
   const auto hub_result = hub_solver.solve(hub.graph(), hub.source(),
-                                           hub.sink(), hub.demand(), opts);
+                                           hub.sink(), hub.demand());
 
   auto mesh = build_mesh(caps, src_cap, dest_cap);
   auto oracle_graph = mesh.graph;
   flow::SspSolver mesh_solver;
   const auto mesh_result = mesh_solver.solve(mesh.graph, mesh.source,
-                                             mesh.sink, hub.demand(), opts);
+                                             mesh.sink, hub.demand());
   const auto oracle = flow::min_cost_flow_cycle_cancel(
       oracle_graph, mesh.source, mesh.sink, hub.demand());
 

@@ -182,6 +182,40 @@ TEST_F(RuntimeFixture, TeardownRemovesEverythingAndReleasesReservations) {
   EXPECT_NEAR(after.reserved_out_kbps, 0.0, 1e-9);
 }
 
+TEST_F(RuntimeFixture, RedeployOverLiveKeyReplacesItsReservation) {
+  // Node 1 hosts a component, a sink and a source of app 1; each is
+  // deployed again over its live key at twice the rate. The node must
+  // then hold exactly what node 2 holds after deploying the new rates
+  // once: the old reservations are released, not stacked.
+  rt(1).deploy_component({1, 0, 0}, "slow", 10.0, 1000, {{3, 10.0}});
+  rt(1).deploy_sink(1, 1, 10.0, 1000);
+  rt(1).deploy_source(1, 2, 10.0, 1000, {{3, 10.0}}, 0, sim::sec(60));
+  rt(1).deploy_component({1, 0, 0}, "slow", 20.0, 1000, {{3, 20.0}});
+  rt(1).deploy_sink(1, 1, 20.0, 1000);
+  rt(1).deploy_source(1, 2, 20.0, 1000, {{3, 20.0}}, 0, sim::sec(60));
+
+  rt(2).deploy_component({1, 0, 0}, "slow", 20.0, 1000, {{3, 20.0}});
+  rt(2).deploy_sink(1, 1, 20.0, 1000);
+  rt(2).deploy_source(1, 2, 20.0, 1000, {{3, 20.0}}, 0, sim::sec(60));
+
+  const auto redeployed = monitors_[1]->snapshot();
+  const auto fresh = monitors_[2]->snapshot();
+  ASSERT_GT(fresh.reserved_in_kbps, 0);
+  EXPECT_NEAR(redeployed.reserved_in_kbps, fresh.reserved_in_kbps, 1e-9);
+  EXPECT_NEAR(redeployed.reserved_out_kbps, fresh.reserved_out_kbps, 1e-9);
+  EXPECT_NEAR(redeployed.cpu_reserved_fraction, fresh.cpu_reserved_fraction,
+              1e-12);
+  EXPECT_NEAR(rt(1).reserved_kbps_for_app(1), rt(2).reserved_kbps_for_app(1),
+              1e-9);
+
+  rt(1).teardown_app(1);
+  const auto after = monitors_[1]->snapshot();
+  EXPECT_NEAR(after.reserved_in_kbps, 0.0, 1e-9);
+  EXPECT_NEAR(after.reserved_out_kbps, 0.0, 1e-9);
+  EXPECT_NEAR(after.cpu_reserved_fraction, 0.0, 1e-12);
+  EXPECT_EQ(rt(1).reserved_kbps_for_app(1), 0.0);
+}
+
 TEST_F(RuntimeFixture, TeardownViaMessage) {
   rt(1).deploy_component({5, 0, 0}, "fast", 20.0, 1000, {{3, 20.0}});
   auto td = std::make_shared<TeardownAppMsg>();

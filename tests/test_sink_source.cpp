@@ -81,7 +81,7 @@ TEST(Sink, SlightReorderAbsorbedByPlayoutBuffer) {
 }
 
 TEST(Sink, ReorderToleranceZeroIsStrict) {
-  StreamSink sink(10.0, 1.0, /*reorder_tolerance_periods=*/0.0);
+  StreamSink sink(10.0, /*reorder_tolerance_periods=*/0.0);
   sink.on_unit(unit(0), 0);
   sink.on_unit(unit(2), sim::msec(100));
   sink.on_unit(unit(1), sim::msec(101));
@@ -89,15 +89,17 @@ TEST(Sink, ReorderToleranceZeroIsStrict) {
 }
 
 TEST(Sink, ToleranceGovernsTimeliness) {
-  StreamSink tight(10.0, 0.1);  // 10 ms tolerance
-  tight.on_unit(unit(0), 0);
-  tight.on_unit(unit(1), sim::msec(130));  // 30 ms late > tolerance
-  EXPECT_EQ(tight.stats().timely, 1);
+  // kTimelyTolerancePeriods = 1: a unit may arrive up to one period
+  // (100 ms) past its deadline and still count as timely.
+  StreamSink late(10.0);
+  late.on_unit(unit(0), 0);
+  late.on_unit(unit(1), sim::msec(230));  // 130 ms late > tolerance
+  EXPECT_EQ(late.stats().timely, 1);
 
-  StreamSink loose(10.0, 1.0);  // 100 ms tolerance
-  loose.on_unit(unit(0), 0);
-  loose.on_unit(unit(1), sim::msec(130));
-  EXPECT_EQ(loose.stats().timely, 2);
+  StreamSink within(10.0);
+  within.on_unit(unit(0), 0);
+  within.on_unit(unit(1), sim::msec(130));  // 30 ms late
+  EXPECT_EQ(within.stats().timely, 2);
 }
 
 TEST(Sink, StatsMerge) {

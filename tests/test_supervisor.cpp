@@ -91,7 +91,7 @@ TEST(Supervisor, RecoversFromComponentHostFailure) {
   // Kill the node hosting the first component; the stream starves.
   const auto victim = app.plan.substreams[0].stages[0].placements[0].node;
   sim.run_until(sim.now() + sim::sec(5));
-  world.network().set_node_up(victim, false);
+  world.network().fail_node(victim);
   for (std::size_t n = 0; n < world.size(); ++n) {
     if (sim::NodeIndex(n) != victim) {
       world.overlay().at(n).purge_peer(victim);
@@ -129,12 +129,8 @@ TEST(Supervisor, GivesUpAfterMaxRecoveries) {
   const auto app = submit_and_wait(world, composer, req, stop);
   ASSERT_TRUE(app.admitted);
 
-  AppSupervisor::Params params;
-  params.check_interval = sim::sec(1);
-  params.strikes_to_recover = 2;
-  params.max_recoveries = 1;
   AppSupervisor supervisor(sim, world.network(),
-                           world.host(0).coordinator(), composer, params);
+                           world.host(0).coordinator(), composer);
   // This standalone supervisor shares node 0 with the Host's own; being
   // registered later, it takes node 0's health replies.
 
@@ -145,16 +141,21 @@ TEST(Supervisor, GivesUpAfterMaxRecoveries) {
                    });
 
   // Kill the destination: every recomposition targets the same (dead)
-  // destination, so recovery can never succeed.
-  world.network().set_node_up(req.destination, false);
+  // destination, so recovery can never succeed for long.
+  world.network().fail_node(req.destination);
   sim.run_until(sim.now() + sim::sec(120));
 
-  const auto gave_up = std::count_if(
-      events.begin(), events.end(), [](const AppSupervisor::Event& e) {
-        return e.kind == AppSupervisor::Event::Kind::kGaveUp ||
-               e.kind == AppSupervisor::Event::Kind::kRecoveryFailed;
-      });
-  EXPECT_GE(gave_up, 1) << "supervisor must stop retrying eventually";
+  using K = AppSupervisor::Event::Kind;
+  const auto count = [&events](K kind) {
+    return std::count_if(events.begin(), events.end(),
+                         [kind](const auto& e) { return e.kind == kind; });
+  };
+  // Every re-composition, failed or deployed into the dead destination,
+  // spends one unit of the budget; the budget's end is one give-up.
+  EXPECT_EQ(count(K::kRecoveryFailed) + count(K::kRecovered),
+            AppSupervisor::kMaxRecoveries)
+      << "supervisor must stop retrying after kMaxRecoveries";
+  EXPECT_EQ(count(K::kGaveUp), 1);
   EXPECT_EQ(supervisor.watched_count(), 0u);
 }
 
@@ -176,8 +177,8 @@ TEST(Supervisor, ForgetStopsSupervision) {
   EXPECT_EQ(supervisor.watched_count(), 0u);
 
   // Even after killing a host, no recovery fires.
-  world.network().set_node_up(
-      app.plan.substreams[0].stages[0].placements[0].node, false);
+  world.network().fail_node(
+      app.plan.substreams[0].stages[0].placements[0].node);
   sim.run_until(sim.now() + sim::sec(20));
   EXPECT_EQ(events, 0);
 }
@@ -194,10 +195,11 @@ struct RejectingComposer : Composer {
   }
 };
 
-/// Runs a stream into a RejectingComposer-backed supervisor, kills its
-/// stage-0 host, and records (kind, time) for every supervisor event.
+/// Runs a stream into a RejectingComposer-backed supervisor living on
+/// `supervisor_host`, kills the stream's stage-0 host, and records
+/// (kind, time) for every supervisor event.
 std::vector<std::pair<AppSupervisor::Event::Kind, sim::SimTime>>
-failing_recovery_events(exp::World& world, const AppSupervisor::Params& params) {
+failing_recovery_events(exp::World& world, std::size_t supervisor_host) {
   auto& sim = world.simulator();
   MinCostComposer admit_composer;
   const auto req = request_for(world, 1);
@@ -206,8 +208,9 @@ failing_recovery_events(exp::World& world, const AppSupervisor::Params& params) 
   EXPECT_TRUE(app.admitted);
 
   RejectingComposer rejecting;
-  AppSupervisor supervisor(sim, world.network(), world.host(0).coordinator(),
-                           rejecting, params, &world.metrics());
+  AppSupervisor supervisor(sim, world.network(),
+                           world.host(supervisor_host).coordinator(),
+                           rejecting, &world.metrics());
 
   std::vector<std::pair<AppSupervisor::Event::Kind, sim::SimTime>> events;
   supervisor.watch(req, app.plan, stop,
@@ -227,16 +230,8 @@ failing_recovery_events(exp::World& world, const AppSupervisor::Params& params) 
 }
 
 TEST(Supervisor, RetryBackoffGrowsUntilGiveUp) {
-  AppSupervisor::Params params;
-  params.check_interval = sim::sec(1);
-  params.strikes_to_recover = 1;
-  params.max_recoveries = 5;
-  params.recovery_backoff = sim::msec(100);
-  params.recovery_backoff_max = sim::sec(1);
-  params.recovery_jitter = 0;  // exact exponential ladder
-
   exp::World world(world_config());
-  const auto events = failing_recovery_events(world, params);
+  const auto events = failing_recovery_events(world, 0);
 
   using K = AppSupervisor::Event::Kind;
   const auto count = [&events](K kind) {
@@ -244,18 +239,19 @@ TEST(Supervisor, RetryBackoffGrowsUntilGiveUp) {
                          [kind](const auto& e) { return e.first == kind; });
   };
   EXPECT_EQ(count(K::kRecovering), 1);
-  EXPECT_EQ(count(K::kRecoveryFailed), 5);
+  EXPECT_EQ(count(K::kRecoveryFailed), AppSupervisor::kMaxRecoveries);
   EXPECT_EQ(count(K::kGaveUp), 1);
   EXPECT_EQ(count(K::kRecovered), 0);
 
   // Gaps between consecutive failed attempts follow the doubling ladder
-  // (200, 400, 800, 1000 ms of backoff plus a near-constant composition
-  // round-trip), so each gap must strictly exceed the previous one.
+  // (600, then 1200 ms of backoff, each jittered by at most +/-20%, plus a
+  // near-constant composition round-trip), so each gap must strictly
+  // exceed the previous one.
   std::vector<sim::SimTime> failures;
   for (const auto& [kind, at] : events) {
     if (kind == K::kRecoveryFailed) failures.push_back(at);
   }
-  ASSERT_EQ(failures.size(), 5u);
+  ASSERT_EQ(failures.size(), std::size_t(AppSupervisor::kMaxRecoveries));
   sim::SimDuration prev_gap = 0;
   for (std::size_t i = 1; i < failures.size(); ++i) {
     const sim::SimDuration gap = failures[i] - failures[i - 1];
@@ -265,31 +261,24 @@ TEST(Supervisor, RetryBackoffGrowsUntilGiveUp) {
     prev_gap = gap;
   }
   // The last gap is bounded by the cap plus one probe/compose cycle.
-  EXPECT_LE(prev_gap, params.recovery_backoff_max + sim::sec(3));
+  EXPECT_LE(prev_gap, AppSupervisor::kRecoveryBackoffMax + sim::sec(3));
 
   // The give-up is visible in the deployment-wide registry too.
   EXPECT_EQ(world.metrics().counter_total("supervisor.gave_up"), 1);
-  EXPECT_EQ(world.metrics().counter_total("supervisor.recoveries_failed"), 5);
+  EXPECT_EQ(world.metrics().counter_total("supervisor.recoveries_failed"),
+            AppSupervisor::kMaxRecoveries);
   EXPECT_EQ(world.metrics().counter_total("supervisor.recoveries_succeeded"),
             0);
 }
 
 TEST(Supervisor, JitteredBackoffIsDeterministicPerSeed) {
-  AppSupervisor::Params params;
-  params.check_interval = sim::sec(1);
-  params.strikes_to_recover = 1;
-  params.max_recoveries = 4;
-  params.recovery_backoff = sim::msec(100);
-  params.recovery_backoff_max = sim::sec(1);
-  params.recovery_jitter = 0.3;
-
-  // Same seed twice: identical event timelines (jitter draws come from a
-  // private RNG keyed by (jitter_seed, node), not from anything the run
+  // Same node twice: identical event timelines (jitter draws come from a
+  // private RNG keyed by (kJitterSeed, node), not from anything the run
   // perturbs).
   std::vector<std::vector<sim::SimTime>> runs;
   for (int i = 0; i < 2; ++i) {
     exp::World world(world_config());
-    const auto events = failing_recovery_events(world, params);
+    const auto events = failing_recovery_events(world, 0);
     std::vector<sim::SimTime> times;
     for (const auto& [kind, at] : events) times.push_back(at);
     ASSERT_FALSE(times.empty());
@@ -297,16 +286,14 @@ TEST(Supervisor, JitteredBackoffIsDeterministicPerSeed) {
   }
   EXPECT_EQ(runs[0], runs[1]);
 
-  // A different jitter seed shifts the retry times (but only those: the
-  // first kRecovering fires before any jittered delay).
-  params.jitter_seed = 0xBADC0FFEEull;
+  // A supervisor on another node draws a different jitter stream, so its
+  // retries land at different times.
   exp::World world(world_config());
-  const auto events = failing_recovery_events(world, params);
+  const auto events = failing_recovery_events(world, 1);
   std::vector<sim::SimTime> times;
   for (const auto& [kind, at] : events) times.push_back(at);
   ASSERT_EQ(times.size(), runs[0].size());
   EXPECT_NE(times, runs[0]);
-  EXPECT_EQ(times[0], runs[0][0]);
 }
 
 }  // namespace
